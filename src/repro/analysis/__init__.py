@@ -7,7 +7,6 @@ from repro.analysis.export import (
     write_rows_csv,
 )
 from repro.analysis.savgol import savgol_coefficients, savgol_smooth
-from repro.analysis.stats import MeanCI, mean_ci, paired_bootstrap_pvalue
 from repro.analysis.trends import mean_growth_rate, rolling_std, slope
 
 __all__ = [
@@ -20,7 +19,4 @@ __all__ = [
     "results_to_csv",
     "write_rows_csv",
     "render_gantt",
-    "MeanCI",
-    "mean_ci",
-    "paired_bootstrap_pvalue",
 ]

@@ -455,7 +455,13 @@ def _cmd_train(args) -> int:
             recorder=recorder, metrics=registry, span_seed=args.seed
         )
     if args.world_size > 1:
-        trainer = _make_dp_run(args, args.policy, observer=observer)
+        try:
+            trainer = _make_dp_run(args, args.policy, observer=observer)
+        except ValueError as exc:
+            if recorder is not None:
+                recorder.close()
+            print(str(exc), file=sys.stderr)
+            return 2
     else:
         trainer, policy, _ = _make_run(args, args.policy, observer=observer)
     result = trainer.run()

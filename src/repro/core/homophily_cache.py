@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cache.base import CacheStats
+from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 
 __all__ = ["HomophilyCache"]
@@ -27,6 +28,14 @@ __all__ = ["HomophilyCache"]
 
 class HomophilyCache:
     """FIFO cache of (high-degree node, payload, neighbor-ID list).
+
+    The FIFO and the neighbor cover map are the layer's metadata; payload
+    bytes live in ``store``, a
+    :class:`~repro.core.payload_store.PayloadStore` (an in-process dict
+    unless replaced before first use). :meth:`update` is payload-first:
+    it calls ``put`` before it touches the FIFO, the cover map, or the
+    stats, so a put the store rejects leaves all of them untouched; FIFO
+    turnover deletes the evicted node's payload afterwards.
 
     Thread-safe: one re-entrant lock (this layer's stripe of the
     :class:`~repro.core.semantic_cache.SemanticCache` lock set) keeps the
@@ -39,10 +48,11 @@ class HomophilyCache:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
-        # key -> (payload, neighbor id tuple); OrderedDict gives FIFO order.
-        self._entries: OrderedDict[int, Tuple[Any, Tuple[int, ...]]] = OrderedDict()
+        # key -> neighbor id tuple; OrderedDict gives FIFO order.
+        self._entries: OrderedDict[int, Tuple[int, ...]] = OrderedDict()
         # neighbor id -> set of cached node keys listing it.
         self._neighbor_of: Dict[int, Set[int]] = {}
+        self.store: PayloadStore = LocalPayloadStore()
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
         self.lock = threading.RLock()
@@ -71,13 +81,18 @@ class HomophilyCache:
 
         Returns ``(node_key, payload)`` of the covering high-degree node —
         the *most recently inserted* cover, whose embedding neighborhood is
-        freshest — or ``None``. Records a substitute hit or miss.
+        freshest — or ``None``. Records a substitute hit or miss; a cover
+        whose payload the store cannot serve is a miss.
         """
         with self.lock:
             if index in self._entries:
                 # The high-degree node itself was requested: an exact hit.
+                payload = self.store.get(index)
+                if payload is None:
+                    self.stats.misses += 1
+                    return None
                 self.stats.hits += 1
-                return index, self._entries[index][0]
+                return index, payload
             covers = self._neighbor_of.get(index)
             if not covers:
                 self.stats.misses += 1
@@ -85,13 +100,17 @@ class HomophilyCache:
             # Most recent insert among the covering nodes.
             for key in reversed(self._entries):
                 if key in covers:
+                    payload = self.store.get(key, substitute=True)
+                    if payload is None:
+                        self.stats.misses += 1
+                        return None
                     self.stats.substitute_hits += 1
                     if self._obs.active:
                         self._obs.on_audit(
                             "substitute", key, "homophily",
                             requested_id=index, reason="neighbor_cover",
                         )
-                    return key, self._entries[key][0]
+                    return key, payload
             raise AssertionError("neighbor map out of sync with entries")
 
     # ------------------------------------------------------------------
@@ -107,10 +126,12 @@ class HomophilyCache:
             key = int(key)
             if key in self._entries:
                 return False
+            if not self.store.put(key, payload):
+                return False
             while len(self._entries) >= self.capacity:
                 self._evict_oldest("fifo")
             neigh = tuple(int(n) for n in neighbor_ids)
-            self._entries[key] = (payload, neigh)
+            self._entries[key] = neigh
             for n in neigh:
                 self._neighbor_of.setdefault(n, set()).add(key)
             self.stats.insertions += 1
@@ -120,7 +141,7 @@ class HomophilyCache:
 
     def _evict_oldest(self, reason: str = "fifo") -> int:
         # Callers hold self.lock (re-entrant).
-        key, (_, neigh) = self._entries.popitem(last=False)
+        key, neigh = self._entries.popitem(last=False)
         for n in neigh:
             owners = self._neighbor_of.get(n)
             if owners is not None:
@@ -130,6 +151,7 @@ class HomophilyCache:
         self.stats.evictions += 1
         if self._obs.active:
             self._obs.on_evict("homophily", key, reason)
+        self.store.delete(key)
         return key
 
     def shrink_to(self, capacity: int) -> List[int]:
@@ -159,7 +181,7 @@ class HomophilyCache:
     def neighbor_list(self, key: int) -> Tuple[int, ...]:
         """Neighbor IDs stored with a cached node (KeyError if absent)."""
         with self.lock:
-            return self._entries[key][1]
+            return self._entries[key]
 
     @property
     def covered_count(self) -> int:
@@ -170,34 +192,35 @@ class HomophilyCache:
             return len(covered)
 
     def newest_entry(self) -> Optional[Tuple[int, Any]]:
-        """(key, payload) of the most recently inserted node, or ``None``.
+        """(key, payload) of the newest node whose payload is readable.
 
         The freshest node's embedding neighborhood is the best available
         stand-in when degraded mode must serve *something* for an uncovered
-        request.
+        request. Walks the FIFO newest-first with neutral reads (no hit
+        counted) until the store serves one; ``None`` if none can be.
         """
         with self.lock:
-            if not self._entries:
-                return None
-            key = next(reversed(self._entries))
-            return key, self._entries[key][0]
+            for key in reversed(self._entries):
+                payload = self.store.peek(key)
+                if payload is not None:
+                    return key, payload
+            return None
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: FIFO order, payloads, neighbor lists, stats."""
         with self.lock:
             keys = list(self._entries.keys())
+            entries = self.store.export()
             if keys:
-                payloads = np.stack(
-                    [np.asarray(self._entries[k][0]) for k in keys]
-                )
+                payloads = np.stack([np.asarray(entries[k]) for k in keys])
             else:
                 payloads = np.empty((0,))
             return {
                 "capacity": self.capacity,
                 "keys": np.asarray(keys, dtype=np.int64),
                 "payloads": payloads,
-                "neighbors": [list(self._entries[k][1]) for k in keys],
+                "neighbors": [list(self._entries[k]) for k in keys],
                 "stats": self.stats.state_dict(),
             }
 
@@ -205,7 +228,7 @@ class HomophilyCache:
         """Restore a :meth:`state_dict` snapshot (rebuilds the cover map)."""
         with self.lock:
             self.capacity = int(state["capacity"])
-            keys = np.asarray(state["keys"], dtype=np.int64)
+            keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
             payloads = state["payloads"]
             neighbors = state["neighbors"]
             if len(keys) != len(neighbors):
@@ -214,7 +237,10 @@ class HomophilyCache:
             self._neighbor_of = {}
             for i, k in enumerate(keys):
                 neigh = tuple(int(n) for n in neighbors[i])
-                self._entries[int(k)] = (np.asarray(payloads[i]), neigh)
+                self._entries[k] = neigh
                 for n in neigh:
-                    self._neighbor_of.setdefault(n, set()).add(int(k))
+                    self._neighbor_of.setdefault(n, set()).add(k)
+            self.store.load(
+                {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
+            )
             self.stats.load_state_dict(state["stats"])

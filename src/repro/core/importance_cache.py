@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cache.base import CacheStats
+from repro.core.payload_store import LocalPayloadStore, PayloadStore
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.utils.heap import IndexedMinHeap
 
@@ -24,10 +25,18 @@ __all__ = ["ImportanceCache"]
 class ImportanceCache:
     """Score-ordered cache over an indexed min-heap.
 
+    The heap is the layer's membership: a key is resident iff it has a
+    score in the heap. Payload bytes live in ``store``, a
+    :class:`~repro.core.payload_store.PayloadStore` (an in-process dict
+    unless replaced before first use). Writes are payload-first:
+    :meth:`admit` calls ``put`` before it touches the heap or the stats,
+    so a put the store rejects is a dropped admit that changes nothing;
+    evictions delete their victim's payload afterwards.
+
     Thread-safe: one re-entrant lock (this layer's stripe of the
     :class:`~repro.core.semantic_cache.SemanticCache` lock set) guards the
-    heap, the payload dict, and the layer stats, so concurrent loader
-    workers can never observe a heap/dict mismatch or overfill the
+    heap, the store calls, and the layer stats, so concurrent loader
+    workers can never observe a heap/payload mismatch or overfill the
     capacity. The lock is exposed as :attr:`lock` so compound operations
     (the elastic resize) can hold it across several calls.
     """
@@ -37,7 +46,7 @@ class ImportanceCache:
             raise ValueError("capacity must be non-negative")
         self.capacity = int(capacity)
         self._heap = IndexedMinHeap()
-        self._values: Dict[int, Any] = {}
+        self.store: PayloadStore = LocalPayloadStore()
         self.stats = CacheStats()
         self._obs = NULL_OBSERVER
         self.lock = threading.RLock()
@@ -48,16 +57,19 @@ class ImportanceCache:
 
     def __len__(self) -> int:
         with self.lock:
-            return len(self._values)
+            return len(self._heap)
 
     def __contains__(self, key: int) -> bool:
         with self.lock:
-            return key in self._values
+            return key in self._heap
 
     def get(self, key: int) -> Optional[Any]:
-        """Cached payload or ``None`` (records hit/miss)."""
+        """Cached payload or ``None`` (records hit/miss).
+
+        A resident whose payload the store cannot serve counts as a miss.
+        """
         with self.lock:
-            value = self._values.get(key)
+            value = self.store.get(key)
             if value is None:
                 self.stats.misses += 1
             else:
@@ -75,25 +87,16 @@ class ImportanceCache:
         """Offer a freshly fetched sample (Fig. 9 cases 2/4).
 
         Returns True if the sample was cached (possibly evicting the current
-        minimum), False if rejected for scoring below the minimum.
+        minimum), False if rejected for scoring below the minimum or
+        because the store did not take the payload.
         """
         obs = self._obs
         with self.lock:
             if self.capacity == 0:
                 return False
-            if key in self._values:
-                # Already resident: refresh payload and score.
-                self._values[key] = value
-                self._heap.update(key, score)
-                return True
-            if len(self._values) < self.capacity:
-                self._heap.push(key, score)
-                self._values[key] = value
-                self.stats.insertions += 1
-                if obs.active:
-                    obs.on_admit(key, score, True, None)
-                return True
-            if score <= self._heap.min_priority():
+            resident = key in self._heap
+            full = len(self._heap) >= self.capacity
+            if not resident and full and score <= self._heap.min_priority():
                 if obs.active:
                     obs.on_admit(key, score, False, None)
                     obs.on_audit(
@@ -102,18 +105,26 @@ class ImportanceCache:
                         reason="below_min_score",
                     )
                 return False
-            ev_score, evicted = self._heap.pop()
-            del self._values[evicted]
-            self.stats.evictions += 1
+            if not self.store.put(key, value):
+                return False
+            if resident:
+                # Refreshed payload; the score follows.
+                self._heap.update(key, score)
+                return True
+            evicted = None
+            if full:
+                ev_score, evicted = self._heap.pop()
+                self.stats.evictions += 1
+                self.store.delete(evicted)
             self._heap.push(key, score)
-            self._values[key] = value
             self.stats.insertions += 1
             if obs.active:
                 obs.on_admit(key, score, True, evicted)
-                obs.on_audit(
-                    "evict", evicted, "importance", score=ev_score,
-                    threshold=score, requested_id=key, reason="displaced",
-                )
+                if evicted is not None:
+                    obs.on_audit(
+                        "evict", evicted, "importance", score=ev_score,
+                        threshold=score, requested_id=key, reason="displaced",
+                    )
             return True
 
     def update_score(self, key: int, score: float) -> None:
@@ -123,7 +134,7 @@ class ImportanceCache:
         only some of which are cached).
         """
         with self.lock:
-            if key in self._values:
+            if key in self._heap:
                 self._heap.update(key, score)
 
     def shrink_to(self, capacity: int) -> List[int]:
@@ -137,12 +148,12 @@ class ImportanceCache:
         obs = self._obs
         evicted = []
         with self.lock:
-            while len(self._values) > capacity:
+            while len(self._heap) > capacity:
                 _, key = self._heap.pop()
-                del self._values[key]
                 self.stats.evictions += 1
                 if obs.active:
                     obs.on_evict("importance", key, "shrink")
+                self.store.delete(key)
                 evicted.append(key)
             self.capacity = capacity
         return evicted
@@ -157,37 +168,41 @@ class ImportanceCache:
     def keys(self) -> List[int]:
         """Resident sample ids (arbitrary order)."""
         with self.lock:
-            return list(self._values.keys())
+            return self._heap.keys()
 
     def scores_snapshot(self) -> List[Tuple[int, float]]:
         """(key, score) for all residents (diagnostics)."""
         with self.lock:
-            return [(k, self._heap.priority(k)) for k in self._values]
+            return [(k, self._heap.priority(k)) for k in self._heap]
 
     def peek_min(self) -> Optional[Tuple[int, Any]]:
         """(key, payload) of the least-important resident, or ``None``.
 
         Degraded-mode serving uses this as a deterministic last-resort
-        substitute source when the remote tier is down.
+        substitute source when the remote tier is down. The payload read
+        is neutral (no hit counted); ``None`` also when the store cannot
+        serve it.
         """
         with self.lock:
             if not self._heap:
                 return None
             _, key = self._heap.peek()
-            return key, self._values[key]
+            payload = self.store.peek(key)
+            return None if payload is None else (key, payload)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         """Exact snapshot: payloads, heap layout, stats.
 
-        Residents are recorded in dict-insertion order; the heap snapshot
-        keeps its array layout and tie-break counters so eviction order
-        after a restore matches an uninterrupted run bit-for-bit.
+        Residents are recorded in the store's insertion order; the heap
+        snapshot keeps its array layout and tie-break counters so eviction
+        order after a restore matches an uninterrupted run bit-for-bit.
         """
         with self.lock:
-            keys = list(self._values.keys())
+            entries = self.store.export()
+            keys = list(entries)
             if keys:
-                payloads = np.stack([np.asarray(self._values[k]) for k in keys])
+                payloads = np.stack([np.asarray(entries[k]) for k in keys])
             else:
                 payloads = np.empty((0,))
             return {
@@ -202,12 +217,12 @@ class ImportanceCache:
         """Restore a :meth:`state_dict` snapshot."""
         with self.lock:
             self.capacity = int(state["capacity"])
-            keys = np.asarray(state["keys"], dtype=np.int64)
+            keys = [int(k) for k in np.asarray(state["keys"], dtype=np.int64)]
             payloads = state["payloads"]
-            self._values = {
-                int(k): np.asarray(payloads[i]) for i, k in enumerate(keys)
-            }
             self._heap.load_state_dict(state["heap"])
-            if set(self._heap.keys()) != set(self._values):
+            if set(self._heap.keys()) != set(keys):
                 raise ValueError("importance-cache snapshot heap/value mismatch")
+            self.store.load(
+                {k: np.asarray(payloads[i]) for i, k in enumerate(keys)}
+            )
             self.stats.load_state_dict(state["stats"])

@@ -12,6 +12,17 @@ and lookups follow Fig. 9(b):
 
 The Homophily Cache is refreshed separately, once per batch, with the
 batch's top-degree node (:meth:`update_homophily`).
+
+This is the one home of the cache policy. Each layer keeps its payload
+bytes in a :class:`~repro.core.payload_store.PayloadStore`: an in-process
+dict by default (the monolith), or the sharded RPC tier of
+:class:`~repro.dist.client.ShardedCacheClient`, which is this class over
+:class:`~repro.dist.client.ShardedPayloadStore`. The payload-first write
+rule — a failed ``put`` is a dropped admit that leaves the heap, FIFO,
+cover map and stats untouched — lives in
+:meth:`ImportanceCache.admit <repro.core.importance_cache.ImportanceCache.admit>`
+and :meth:`HomophilyCache.update <repro.core.homophily_cache.HomophilyCache.update>`;
+on the dict store every put succeeds.
 """
 
 from __future__ import annotations
@@ -120,7 +131,9 @@ class SemanticCache:
     """Two-layer semantic cache with a total item budget.
 
     ``imp_ratio`` splits ``total_capacity`` between the layers; the Elastic
-    Cache Manager adjusts it at runtime via :meth:`set_imp_ratio`.
+    Cache Manager adjusts it at runtime via :meth:`set_imp_ratio`. Each
+    layer's payloads live in its ``store`` (an in-process dict unless
+    replaced before first use).
 
     Thread-safety is lock-striped: each layer owns a re-entrant lock
     guarding its heap/FIFO and per-layer stats, and this composite adds a
@@ -259,10 +272,11 @@ class SemanticCache:
         """Close-enough-beats-nothing serving while the remote tier is down.
 
         Substitution is *widened* beyond the Fig. 9 protocol: any resident
-        homophily node (freshest first) may stand in for the request, and
-        failing that, the least-important Importance-Cache resident. Only
-        when both layers are empty is the sample skipped — the loader drops
-        it from the batch rather than aborting training.
+        homophily node (freshest first, the first whose payload the store
+        can read) may stand in for the request, and failing that, the
+        least-important Importance-Cache resident. Only when neither layer
+        can serve is the sample skipped — the loader drops it from the
+        batch rather than aborting training.
 
         Accounting: degraded serves go to :class:`DegradedStats` and the
         dedicated ``stats.degraded_serves`` counter only. They do *not*

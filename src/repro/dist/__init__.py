@@ -1,12 +1,14 @@
 """Sharded shared-cache service — the fault-tolerant tier.
 
-Partitions the two-layer :class:`~repro.core.semantic_cache.SemanticCache`
-across N :class:`~repro.dist.server.CacheShardServer` partitions behind a
-simulated RPC channel, fronted by a
-:class:`~repro.dist.client.ShardedCacheClient` that every data-parallel
-worker shares. The client keeps the *logical* cache state (importance
-heap, homophily FIFO + neighbor cover map, capacity split) locally and
-the payloads on the shards, which is what makes the service
+Keeps the two-layer :class:`~repro.core.semantic_cache.SemanticCache`'s
+payloads on N :class:`~repro.dist.server.CacheShardServer` partitions
+behind an RPC transport. The cache policy itself (importance heap,
+homophily FIFO + neighbor cover map, capacity split) stays in
+:mod:`repro.core`; :class:`~repro.dist.client.ShardedPayloadStore`
+implements its payload-store contract over the shards, and
+:class:`~repro.dist.client.ShardedCacheClient` — the cache every
+data-parallel worker shares — is ``SemanticCache`` over that store.
+That makes the service
 
 * **bit-identical** to the monolithic cache for any shard count when no
   faults fire (the Hypothesis differential oracle in ``tests/dist``), and
@@ -27,12 +29,13 @@ Modules:
 * :mod:`~repro.dist.retry` — seeded-jitter capped exponential backoff
   with a per-request retry budget;
 * :mod:`~repro.dist.server` — idempotent shard partition servers;
-* :mod:`~repro.dist.client` — the breaker-guarded coordinating client;
+* :mod:`~repro.dist.client` — the breaker-guarded payload store and the
+  client cache over it;
 * :mod:`~repro.dist.migration` — live ring resizing with retry-safe,
   interruptible, batched key migration.
 """
 
-from repro.dist.client import ShardedCacheClient
+from repro.dist.client import ShardedCacheClient, ShardedPayloadStore
 from repro.dist.migration import MigrationState
 from repro.dist.retry import RetryBudgetExhausted, RetryPolicy
 from repro.dist.ring import ConsistentHashRing
@@ -53,6 +56,7 @@ __all__ = [
     "SimRpcChannel",
     "RealRpcTransport",
     "ShardedCacheClient",
+    "ShardedPayloadStore",
     "MigrationState",
     "RetryPolicy",
     "RetryBudgetExhausted",

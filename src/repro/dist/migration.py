@@ -20,8 +20,8 @@ source copy keeps serving lookups. Faults therefore leave batches
 **pending**, never half-applied — the chaos suite drives outages through
 mid-flight migrations to prove it.
 
-A :class:`MigrationState` is the client's record of an in-flight resize;
-``ShardedCacheClient.continue_migration`` drains it (batches are
+A :class:`MigrationState` is the payload store's record of an in-flight
+resize; ``ShardedPayloadStore.continue_migration`` drains it (batches are
 re-planned against live metadata at execution time, so keys evicted or
 re-admitted since planning are handled correctly).
 """

@@ -68,7 +68,7 @@ class Transport(abc.ABC):
 
     A transport owns the shard servers' lifetime and carries exactly one
     call attempt — retries, backoff, and circuit breaking live *above* it
-    in :class:`~repro.dist.client.ShardedCacheClient`, which works
+    in :class:`~repro.dist.client.ShardedPayloadStore`, which works
     unchanged over any implementation. Two ship:
 
     * :class:`SimRpcChannel` (``name="sim"``) — in-process servers on a
@@ -121,7 +121,7 @@ class Transport(abc.ABC):
     def peek(self, shard: int, method: str, *args: Any) -> Any:
         """Control-plane read: no latency charge, no faults, no stats.
 
-        Used by audits (:meth:`ShardedCacheClient.verify_placement`) that
+        Used by audits (:meth:`ShardedPayloadStore.verify_placement`) that
         must not perturb the run's accounting or trip breakers.
         """
 

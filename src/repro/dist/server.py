@@ -1,11 +1,12 @@
 """Shard partition servers.
 
 A :class:`CacheShardServer` owns one partition of the payload bytes for
-both cache layers. It is deliberately *dumb*: all policy decisions
-(admission, eviction order, FIFO turnover, the capacity split, which
-node covers a request) live in the
-:class:`~repro.dist.client.ShardedCacheClient`; the server is a keyed
-payload store with hit counters.
+both cache layers, in two namespaces (``"imp"`` and ``"hom"``). It is
+deliberately *dumb*: a keyed payload store and nothing more. All policy
+decisions (admission, eviction order, FIFO turnover, the capacity split,
+which node covers a request) live in :mod:`repro.core`; the per-key
+locations, per-shard hit counters and anti-entropy queue live in the
+client-side :class:`~repro.dist.client.ShardedPayloadStore`.
 
 Every mutating method is **idempotent** — puts overwrite, deletes of
 absent keys are no-ops, migration imports overwrite — because the RPC
@@ -16,8 +17,6 @@ executed) and the retry layer may replay any call.
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 __all__ = ["CacheShardServer"]
 
@@ -30,9 +29,6 @@ class CacheShardServer:
     def __init__(self, shard_id: int) -> None:
         self.shard_id = int(shard_id)
         self._stores: Dict[str, Dict[int, Any]] = {"imp": {}, "hom": {}}
-        self.imp_hits = 0
-        self.hom_hits = 0
-        self.hom_substitute_hits = 0
 
     def _store(self, layer: str) -> Dict[int, Any]:
         try:
@@ -44,10 +40,7 @@ class CacheShardServer:
     def imp_get(self, key: int) -> Optional[Any]:
         """Payload of ``key`` or ``None`` (the client treats ``None`` as
         a lost entry and degrades to a miss)."""
-        payload = self._stores["imp"].get(int(key))
-        if payload is not None:
-            self.imp_hits += 1
-        return payload
+        return self._stores["imp"].get(int(key))
 
     def imp_put(self, key: int, payload: Any) -> None:
         """Insert or overwrite (idempotent)."""
@@ -58,15 +51,9 @@ class CacheShardServer:
         self._stores["imp"].pop(int(key), None)
 
     # -- homophily layer ------------------------------------------------
-    def hom_get(self, key: int, substitute: bool = False) -> Optional[Any]:
-        """Payload of node ``key``; ``substitute`` only picks the counter."""
-        payload = self._stores["hom"].get(int(key))
-        if payload is not None:
-            if substitute:
-                self.hom_substitute_hits += 1
-            else:
-                self.hom_hits += 1
-        return payload
+    def hom_get(self, key: int) -> Optional[Any]:
+        """Payload of node ``key`` or ``None``."""
+        return self._stores["hom"].get(int(key))
 
     def hom_put(self, key: int, payload: Any) -> None:
         """Insert or overwrite (idempotent)."""
@@ -100,17 +87,6 @@ class CacheShardServer:
             store[int(k)] = payload
 
     # -- introspection ----------------------------------------------------
-    def stats(self) -> Dict[str, int]:
-        """Hit counters, fetchable over any transport (process-remote
-        servers can't expose bare attributes)."""
-        return {
-            "imp_hits": self.imp_hits,
-            "hom_hits": self.hom_hits,
-            "hom_substitute_hits": self.hom_substitute_hits,
-            "imp_len": len(self._stores["imp"]),
-            "hom_len": len(self._stores["hom"]),
-        }
-
     def occupancy(self, layer: str) -> int:
         """Number of payloads resident in one layer."""
         return len(self._store(layer))
@@ -118,10 +94,3 @@ class CacheShardServer:
     def keys(self, layer: str) -> List[int]:
         """Resident keys of one layer (insertion order)."""
         return list(self._store(layer).keys())
-
-    def payload_nbytes(self, layer: str, key: int) -> int:
-        """Simulated size of one payload (0 if absent)."""
-        payload = self._store(layer).get(int(key))
-        if payload is None:
-            return 0
-        return int(np.asarray(payload).nbytes)

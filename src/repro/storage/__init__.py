@@ -8,7 +8,6 @@ fetch-latency vs per-batch compute cost, which these models provide.
 from repro.storage.backends import InMemoryStore, RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.flaky import FlakyStore, RetryingStore, TransientFetchError
-from repro.storage.kvstore import ByteLRUCache, CapacityError, InMemoryKVStore
 from repro.storage.latency import (
     ConstantLatency,
     LatencyModel,
@@ -29,7 +28,4 @@ __all__ = [
     "FlakyStore",
     "RetryingStore",
     "TransientFetchError",
-    "InMemoryKVStore",
-    "ByteLRUCache",
-    "CapacityError",
 ]

@@ -73,6 +73,11 @@ class DataParallelTrainer:
     policy_factory:
         ``(rank) -> TrainingPolicy``; each worker gets its own cache over
         its shard (per-worker caches, as in the paper's multi-GPU setup).
+    config:
+        Shared :class:`TrainerConfig`. ``prefetch_workers``, ``transform``
+        and ``lr_schedule`` must stay at their defaults: this loop has no
+        prefetching loader, preprocess stage or LR schedule, so it
+        rejects them rather than ignore them.
     comm_ms_per_step:
         All-reduce cost at 2 workers; scaled by ``2 (K-1)/K``.
     cache_shards:
@@ -113,6 +118,14 @@ class DataParallelTrainer:
             raise ValueError("cache_shards must be non-negative")
         if cache_shards and not shared_cache:
             raise ValueError("cache_shards requires shared_cache=True")
+        # Knobs this loop does not implement (see ``config`` above).
+        for name in ("prefetch_workers", "transform", "lr_schedule"):
+            value = getattr(self.config, name)
+            if value != getattr(TrainerConfig, name):
+                raise ValueError(
+                    f"DataParallelTrainer does not support {name} "
+                    f"(got {value!r}); use Trainer for a single worker"
+                )
         self.world_size = int(world_size)
         self.comm_ms_per_step = float(comm_ms_per_step)
         self.cache_shards = int(cache_shards)

@@ -124,8 +124,8 @@ def test_concurrent_commits_match_serial_replay(ops, workers):
             cs.insertions, cs.evictions) == (
         ss.hits, ss.misses, ss.substitute_hits, ss.insertions, ss.evictions
     )
-    assert list(concurrent_cache.importance._values) == list(
-        serial_cache.importance._values
+    assert list(concurrent_cache.importance.store.export()) == list(
+        serial_cache.importance.store.export()
     )
     assert concurrent_cache.importance.scores_snapshot() == (
         serial_cache.importance.scores_snapshot()

@@ -80,7 +80,9 @@ def test_bit_identical_to_serial_loader(workers, executor):
     assert (cs.hits, cs.misses, cs.substitute_hits) == (
         ss.hits, ss.misses, ss.substitute_hits
     )
-    assert list(cache.importance._values) == list(serial_cache.importance._values)
+    assert list(cache.importance.store.export()) == list(
+        serial_cache.importance.store.export()
+    )
 
 
 def test_overlap_charges_strictly_less_time():

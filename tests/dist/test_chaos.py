@@ -54,12 +54,12 @@ def check_invariants(cli):
     assert len(cli) <= cli.total_capacity
     assert len(cli.importance) <= cli.importance.capacity
     assert len(cli.homophily) <= cli.homophily.capacity
-    assert len(cli._heap) == len(cli._imp_loc)
-    assert set(cli._heap.keys()) == set(cli._imp_loc)
-    assert set(cli._hom_entries) == set(cli._hom_loc)
+    assert len(cli.importance._heap) == len(cli.tier.locations["imp"])
+    assert set(cli.importance._heap.keys()) == set(cli.tier.locations["imp"])
+    assert set(cli.homophily._entries) == set(cli.tier.locations["hom"])
     snaps = cli.shard_snapshots()
-    assert sum(s["imp_len"] for s in snaps) == len(cli._imp_loc)
-    assert sum(s["hom_len"] for s in snaps) == len(cli._hom_entries)
+    assert sum(s["imp_len"] for s in snaps) == len(cli.tier.locations["imp"])
+    assert sum(s["hom_len"] for s in snaps) == len(cli.homophily._entries)
 
 
 def drain(cli, max_passes=50):
@@ -126,9 +126,9 @@ def test_outage_during_migration_stalls_then_completes():
     # Anti-entropy queues reconverge shard contents with metadata.
     for k in range(20):
         cli.fetch(k, float(k + 1), payload)
-    assert not any(cli._pending_deletes.values())
+    assert not any(cli.tier._pending_deletes.values())
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in cli.tier.locations.items():
             owned = {k for k, s in loc.items() if s == sid}
             assert set(server.keys(layer)) == owned
 
@@ -137,7 +137,7 @@ def test_admits_during_outage_are_dropped_not_corrupting():
     cli = make_client(breaker_failure_threshold=1000)
     populate(cli)
     before_len = len(cli)
-    before_keys = set(cli._imp_loc) | set(cli._hom_entries)
+    before_keys = set(cli.tier.locations["imp"]) | set(cli.homophily._entries)
     cli.set_fault_plan(0, OUTAGE)
     cli.set_fault_plan(1, OUTAGE)
     for k in range(100, 140):
@@ -145,7 +145,8 @@ def test_admits_during_outage_are_dropped_not_corrupting():
         cli.update_homophily(3000 + k, payload(k), [k])
     assert cli.dropped_admits == 80
     assert len(cli) == before_len  # metadata untouched
-    assert set(cli._imp_loc) | set(cli._hom_entries) == before_keys
+    after_keys = set(cli.tier.locations["imp"]) | set(cli.homophily._entries)
+    assert after_keys == before_keys
     check_invariants(cli)
     # Recovery: the cache works again and can admit.
     cli.set_fault_plan(0, None)
@@ -169,17 +170,17 @@ def test_brownout_timeouts_leave_shards_consistent():
     cli.set_fault_plan(1, plan)
     for k in range(20, 60):
         cli.fetch(k, float(k + 1), payload)
-    assert cli.channel.timeouts > 0  # the window did bite
+    assert cli.transport.timeouts > 0  # the window did bite
     check_invariants(cli)
     # Past the window (clock advanced via charged deadlines/backoffs),
     # traffic is clean again; drain the repair queues.
     assert cli.clock.total_seconds > 0.15
-    for k in list(cli._imp_loc)[:10]:
+    for k in list(cli.tier.locations["imp"])[:10]:
         assert cli.fetch(k, 1000.0, payload).payload is not None
     for sid in cli.servers:
-        cli._flush_pending(sid)
+        cli.tier._flush_pending(sid)
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in cli.tier.locations.items():
             owned = {k for k, s in loc.items() if s == sid}
             # No payload the metadata owns may be missing; orphans from
             # ambiguous timeouts have been repaired away.

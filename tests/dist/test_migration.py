@@ -105,7 +105,7 @@ def test_moved_payloads_are_deleted_from_their_source_shard():
     cli = populate(make_client(n_shards=2))
     cli.resize(4)
     for sid, server in cli.servers.items():
-        for layer, loc in (("imp", cli._imp_loc), ("hom", cli._hom_loc)):
+        for layer, loc in cli.tier.locations.items():
             owned = {k for k, s in loc.items() if s == sid}
             assert set(server.keys(layer)) == owned  # no stale copies
 
@@ -150,7 +150,7 @@ def test_new_admits_mid_migration_land_on_the_target_ring():
     target = cli.migration.target_ring
     new_key = 777
     cli.fetch(new_key, 99.0, payload)
-    assert cli._imp_loc[new_key] == target.shard_for(new_key)
+    assert cli.tier.locations["imp"][new_key] == target.shard_for(new_key)
     cli.continue_migration()
     assert cli.verify_placement() == []
 

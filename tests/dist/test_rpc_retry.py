@@ -206,7 +206,7 @@ def test_retries_recover_from_a_transient_outage_window():
     assert out.source.value == "remote"
     assert cli.dropped_admits == 0 and 1 in cli.importance
     assert cli.rpc_retries == 2
-    assert cli.channel.failures == 2
+    assert cli.transport.failures == 2
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_anti_entropy_flush_drains_parked_repairs_after_recovery():
     cli.fetch(9, 9.0, lambda i: [float(i)])  # put dropped, nothing evicted
     assert cli.dropped_admits == 1
     assert 9 not in cli.importance and 0 in cli.importance  # put-first rule
-    assert any(cli._pending_deletes.values())  # orphan-put repair queued
+    assert any(cli.tier._pending_deletes.values())  # orphan-put repair queued
     cli.set_fault_plan(0, None)
     cli.fetch(0, 1.0, lambda i: [float(i)])  # hit: successful call flushes
-    assert not any(cli._pending_deletes.values())
+    assert not any(cli.tier._pending_deletes.values())

@@ -92,8 +92,8 @@ def ledger(cli):
         "rpc_timeouts": cli.transport.timeouts,
         "per_shard_calls": dict(cli.transport.per_shard_calls),
         "per_shard_failures": dict(cli.transport.per_shard_failures),
-        "imp_keys": sorted(cli._imp_loc),
-        "hom_keys": sorted(cli._hom_entries),
+        "imp_keys": sorted(cli.tier.locations["imp"]),
+        "hom_keys": sorted(cli.homophily._entries),
         "len": len(cli),
         "breakers": [b.state.value for b in cli.breakers.values()],
         "snapshots": snaps,
@@ -139,7 +139,7 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
 
         real.transport.restart_shard(0)
         assert real.transport.peek(0, "keys", "imp") == []  # fresh server
-        lost_hom = {k for k, s in real._hom_loc.items() if s == 0}
+        lost_hom = {k for k, s in real.tier.locations["hom"].items() if s == 0}
         # Let the breaker cooldown elapse on the client's wall clock so
         # the half-open probe is allowed through.
         real.breakers[0].cooldown_s = 0.05
@@ -149,11 +149,12 @@ def test_restarted_worker_rejoins_and_anti_entropy_reconverges():
             out = real.fetch(k % 25, float(k + 1), payload)
             assert out.payload is not None
         assert real.breakers[0].state is BreakerState.CLOSED
-        assert not any(real._pending_deletes.values())
+        assert not any(real.tier._pending_deletes.values())
         # Importance payloads reconverge: a degraded read falls through
         # to the remote tier and the re-admit refreshes the shard copy.
         for sid in real.transport.shard_ids:
-            owned = {k for k, s in real._imp_loc.items() if s == sid}
+            owned = {k for k, s in real.tier.locations["imp"].items()
+                     if s == sid}
             held = set(real.transport.peek(sid, "keys", "imp"))
             assert held == owned, sid
         # Homophily payloads are soft state with no refresh path for a
@@ -216,7 +217,7 @@ def test_kill_during_resize_stalls_then_completes_after_restart():
         # And every importance key is genuinely servable again, no
         # degraded reads left.
         degraded_before = real.degraded_lookups
-        for k in list(real._imp_loc)[:10]:
+        for k in list(real.tier.locations["imp"])[:10]:
             assert real.fetch(k, 1000.0, payload).payload is not None
         assert real.degraded_lookups == degraded_before
     finally:

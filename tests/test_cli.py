@@ -32,6 +32,14 @@ def test_train_each_policy_smoke(capsys):
         assert main(["train", "--policy", name] + FAST) == 0
 
 
+def test_train_data_parallel_rejects_prefetch_workers(capsys):
+    """--prefetch-workers has no effect on the data-parallel loop, so the
+    CLI refuses it there instead of tracing a run that never prefetched."""
+    argv = ["train", "--world-size", "2", "--prefetch-workers", "4"] + FAST
+    assert main(argv) == 2
+    assert "prefetch_workers" in capsys.readouterr().err
+
+
 def test_compare_command(capsys):
     assert main(
         ["compare", "--policies", "spidercache", "baseline"] + FAST

@@ -59,3 +59,48 @@ def test_train_package_imports_without_dist():
     head = src.split("def ", 1)[0]  # module scope only
     assert "from repro.dist" not in head
     assert "import repro.dist" not in head
+
+
+#: Policy modules the shard tier must never import: cache policy lives in
+#: repro.core and reaches repro.dist only through the payload-store
+#: contract (repro.core.payload_store) and SemanticCache itself.
+_POLICY_MODULES = {
+    "repro.utils.heap",
+    "repro.core.importance_cache",
+    "repro.core.homophily_cache",
+}
+#: ... and the policy classes by name, however re-exported.
+_POLICY_NAMES = {"IndexedMinHeap", "ImportanceCache", "HomophilyCache"}
+
+
+def _imported_modules(path):
+    import ast
+
+    tree = ast.parse(open(path).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def test_dist_tier_holds_no_cache_policy():
+    """The semantic-cache policy exists once, in repro.core: no module of
+    the shard tier imports the heap or the cache layers, and the client
+    keeps no layer facades of its own."""
+    import pathlib
+
+    dist_dir = pathlib.Path(repro.__file__).parent / "dist"
+    offenders = sorted(
+        f"{path.name}: {mod}"
+        for path in dist_dir.glob("*.py")
+        for mod in _imported_modules(path)
+        if mod in _POLICY_MODULES or mod.rsplit(".", 1)[-1] in _POLICY_NAMES
+    )
+    assert not offenders, offenders
+    client = importlib.import_module("repro.dist.client")
+    assert not hasattr(client, "ImportanceView")
+    assert not hasattr(client, "HomophilyView")

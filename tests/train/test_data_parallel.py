@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.baseline import LRUBaselinePolicy
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
+from repro.data.transforms import GaussianNoise
 from repro.nn.models import build_model
 from repro.train.data_parallel import DataParallelTrainer
 from repro.train.trainer import Trainer, TrainerConfig
@@ -36,6 +37,27 @@ def _dp(data, world_size, policy_cls=LRUBaselinePolicy, epochs=4, **kw):
 def test_invalid_world_size(data):
     with pytest.raises(ValueError):
         _dp(data, 0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("prefetch_workers", 4),
+    ("transform", GaussianNoise(0.1, rng=0)),
+    ("lr_schedule", "cosine"),
+])
+def test_rejects_config_knobs_it_does_not_implement(data, name, value):
+    """A TrainerConfig knob the data-parallel loop would ignore is refused
+    at construction instead of silently dropped."""
+    train, test = data
+    with pytest.raises(ValueError, match=name):
+        DataParallelTrainer(
+            model_factory=lambda: build_model("resnet18", train.dim,
+                                              train.num_classes, rng=7),
+            train_set=train,
+            test_set=test,
+            policy_factory=lambda rank: LRUBaselinePolicy(0.3, rng=rank),
+            world_size=2,
+            config=TrainerConfig(epochs=1, batch_size=64, **{name: value}),
+        )
 
 
 def test_shards_partition_dataset(data):
