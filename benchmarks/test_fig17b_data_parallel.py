@@ -1,10 +1,10 @@
 """E14b — Fig. 17 from first principles: real data-parallel runs.
 
-Complements `test_fig17_multigpu.py` (which scales a single-GPU run with a
-closed-form model) by actually running K synchronized replicas with
-gradient averaging, per-worker shards/caches, and straggler/communication
-accounting (`repro.train.data_parallel`). Same Fig.-17 claims: SpiderCache
-beats the LRU baseline at every worker count; scaling is sublinear.
+Runs K synchronized replicas with gradient averaging, per-worker
+shards/caches, and straggler/communication accounting
+(`repro.train.data_parallel`). The Fig.-17 claims: epochs get faster with
+more workers, scaling is sublinear (4 workers give < 4x), and SpiderCache
+beats the LRU baseline at every worker count.
 """
 
 import numpy as np

@@ -143,7 +143,7 @@ class ResilientTrainer(Trainer):
                     self._run_epoch(
                         epoch,
                         result,
-                        order=order,
+                        orders=None if order is None else [order],
                         start_batch=start,
                         acc=acc,
                         batch_hook=self._on_batch,
@@ -164,8 +164,13 @@ class ResilientTrainer(Trainer):
 
     # ------------------------------------------------------------------
     def _on_batch(
-        self, epoch: int, slot: int, order: np.ndarray, acc: EpochAccumulator
+        self,
+        epoch: int,
+        slot: int,
+        orders: List[np.ndarray],
+        acc: EpochAccumulator,
     ) -> None:
+        (order,) = orders  # a serial run draws one order per epoch
         self._cursor = (epoch, slot + 1)
         self._batches_since_ckpt += 1
         # Preemption is checked *before* writing a due checkpoint, so a

@@ -1,43 +1,48 @@
 """Synchronous data-parallel training with real gradient math.
 
-Extends the post-hoc scaling model of :mod:`repro.train.multigpu` with an
-actual multi-worker run (paper §6.6 evaluates 1-4 GPUs):
+``world_size`` workers (paper §6.6 evaluates 1-4 GPUs) each hold a full
+model replica. Every step, each worker computes gradients on its own
+mini-batch; gradients are averaged and the identical update is applied
+to every replica — so the replicas stay bit-identical, which
+:meth:`DataParallelTrainer.replicas_in_sync` asserts. The epoch loop is
+:class:`~repro.train.trainer.Trainer`'s, run over the worker replicas.
 
-* the dataset is partitioned across ``world_size`` workers (PyTorch's
-  ``DistributedSampler`` convention);
-* each worker holds a full model replica, its own cache policy over its
-  shard, and its own simulated store/clock;
-* every step, workers compute gradients on their shards; gradients are
-  averaged and the identical update is applied to every replica — so the
-  replicas stay bit-identical, which :meth:`replicas_in_sync` asserts.
+Two cache topologies:
 
-Simulated step time = max over workers of their data-load time (the I/O
-straggler effect) + per-worker compute + a ring-all-reduce communication
-term that grows with the worker count — reproducing the Fig.-17 shape from
-first principles rather than by scaling a single-GPU run.
+* **shared** (``shared_cache=True``) — the paper's multi-GPU deployment:
+  every worker fetches through ONE policy/cache over the full dataset
+  (one Redis shared by every GPU), optionally partitioned across shard
+  servers, and each epoch's global importance order is split
+  round-robin across workers;
+* **per-worker** (default) — PyTorch's ``DistributedSampler``
+  convention: the dataset is partitioned across workers, and each owns
+  its shard with its own cache policy, store and clock.
+
+Simulated step time = the data-load time (the slowest worker's when
+per-worker, the shared store's split across workers when shared) +
+per-worker compute + a ring-all-reduce communication term that grows with
+the worker count — the Fig.-17 shape from first principles.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.loader import DataLoader
+from repro.data.loader import Batch, DataLoader
 from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model
 from repro.nn.optim import SGD
-from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.observer import Observer
 from repro.storage.backends import RemoteStore
 from repro.storage.clock import SimClock
 from repro.storage.latency import ConstantLatency, LatencyModel
-from repro.train.metrics import EpochMetrics, TrainResult
 from repro.train.pipeline import StageCostModel
 from repro.train.policy_base import PolicyContext, TrainingPolicy
-from repro.train.trainer import TrainerConfig
-from repro.utils.rng import RngLike, resolve_rng
+from repro.train.trainer import EpochAccumulator, Trainer, TrainerConfig
+from repro.utils.rng import RngLike
 
 __all__ = ["DataParallelTrainer", "WorkerState"]
 
@@ -62,7 +67,7 @@ class WorkerState:
     optimizer: SGD
 
 
-class DataParallelTrainer:
+class DataParallelTrainer(Trainer):
     """Train ``world_size`` synchronized replicas over shards.
 
     Parameters
@@ -71,15 +76,19 @@ class DataParallelTrainer:
         ``() -> Model``; called once per worker. Factories must be
         deterministic (same seed) so replicas start identical.
     policy_factory:
-        ``(rank) -> TrainingPolicy``; each worker gets its own cache over
-        its shard (per-worker caches, as in the paper's multi-GPU setup).
+        ``(rank) -> TrainingPolicy``; called once per worker for
+        per-worker caches, once (rank 0) for a shared cache.
     config:
-        Shared :class:`TrainerConfig`. ``prefetch_workers``, ``transform``
-        and ``lr_schedule`` must stay at their defaults: this loop has no
-        prefetching loader, preprocess stage or LR schedule, so it
-        rejects them rather than ignore them.
+        Shared :class:`TrainerConfig`. ``prefetch_workers`` and
+        ``transform`` must stay at their defaults and are rejected rather
+        than ignored: prefetch threads would run beside the real
+        transport's forked shard workers, and the step makes no clock
+        charge for a transform's preprocess cost.
     comm_ms_per_step:
         All-reduce cost at 2 workers; scaled by ``2 (K-1)/K``.
+    shared_cache:
+        One cache shared by every worker (the paper's deployment) instead
+        of per-worker caches over data partitions.
     cache_shards:
         With ``shared_cache=True`` and ``cache_shards > 0``, the shared
         tier becomes a :class:`~repro.dist.client.ShardedCacheClient`
@@ -106,9 +115,7 @@ class DataParallelTrainer:
     ) -> None:
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
-        self.train_set = train_set
-        self.test_set = test_set
-        self.config = config or TrainerConfig()
+        self._init_run(train_set, test_set, config, rng, observer)
         # Topology knobs live in TrainerConfig; explicit arguments win.
         if shared_cache is None:
             shared_cache = self.config.shared_cache
@@ -118,8 +125,8 @@ class DataParallelTrainer:
             raise ValueError("cache_shards must be non-negative")
         if cache_shards and not shared_cache:
             raise ValueError("cache_shards requires shared_cache=True")
-        # Knobs this loop does not implement (see ``config`` above).
-        for name in ("prefetch_workers", "transform", "lr_schedule"):
+        # Knobs the workers do not implement (see ``config`` above).
+        for name in ("prefetch_workers", "transform"):
             value = getattr(self.config, name)
             if value != getattr(TrainerConfig, name):
                 raise ValueError(
@@ -128,16 +135,14 @@ class DataParallelTrainer:
                 )
         self.world_size = int(world_size)
         self.comm_ms_per_step = float(comm_ms_per_step)
-        self.cache_shards = int(cache_shards)
-        self.observer = observer if observer is not None else NULL_OBSERVER
-        # shared_cache=True models the paper's multi-GPU deployment: all
-        # workers fetch through ONE policy/cache over the full dataset (one
-        # Redis shared by every GPU), and each epoch's global importance
-        # order is split round-robin across workers. shared_cache=False
-        # gives fully sharded workers (each owns a fixed data partition
-        # with its own cache — the DistributedSampler convention).
         self.shared_cache = bool(shared_cache)
-        self._rng = resolve_rng(rng)
+        self.cache_shards = int(cache_shards)
+        self._run_suffix = f"@dp{self.world_size}"
+        self._topology = {
+            "world_size": self.world_size,
+            "shared_cache": self.shared_cache,
+            "cache_shards": self.cache_shards,
+        }
 
         n = len(train_set)
         per_worker_batch = max(1, self.config.batch_size // world_size)
@@ -219,14 +224,9 @@ class DataParallelTrainer:
             loader = DataLoader(
                 shard_set.y, policy.fetch, batch_size=per_worker_batch
             )
-            optimizer = SGD(
-                model.params(), lr=self.config.lr,
-                momentum=self.config.momentum,
-                weight_decay=self.config.weight_decay,
-            )
             self.workers.append(
                 WorkerState(rank, shard, model, policy, store, clock, loader,
-                            optimizer)
+                            self._make_optimizer(model))
             )
 
         # Broadcast worker 0's weights so every replica starts identical
@@ -235,8 +235,12 @@ class DataParallelTrainer:
         for w in self.workers[1:]:
             w.model.load_state_dict(ref)
 
-        if self.observer.active:
-            self._attach_observer()
+        self._attach_observer()
+
+    @property
+    def replicas(self) -> List[WorkerState]:
+        """The worker replicas the epoch loop drives."""
+        return self.workers
 
     # ------------------------------------------------------------------
     def _make_shard_client(self, capacity: int, imp_ratio: float):
@@ -281,63 +285,13 @@ class DataParallelTrainer:
     def _shared_client(self):
         """The shared sharded-cache client, if this run uses one.
 
-        Duck-typed on ``shard_snapshots`` (the one capability the run
-        loop needs) rather than an isinstance check, to keep this module
-        import-independent of ``repro.dist``.
+        Duck-typed on ``shard_snapshots`` rather than an isinstance
+        check, to keep this module import-independent of ``repro.dist``.
         """
         if not self.cache_shards:
             return None
         cache = getattr(self.workers[0].policy, "cache", None)
         return cache if hasattr(cache, "shard_snapshots") else None
-
-    def _maybe_resize_shards(self, client, epoch: int) -> None:
-        """Epoch-boundary live-resize driver.
-
-        At the configured trigger epoch the client plans the migration;
-        every epoch boundary after that drains as many pending batches
-        as the (possibly faulted) shard tier will take, so a stalled
-        migration simply resumes next epoch once outages end and breaker
-        cool-downs elapse. ``cache_shards`` tracks the client's live
-        shard count once the ring swap lands.
-        """
-        at = self.config.resize_shards_at
-        if at is not None and epoch == int(at[0]):
-            client.resize(int(at[1]), drain=False)
-        if client.migration is not None:
-            client.continue_migration()
-        self.cache_shards = client.n_shards
-
-    def _attach_observer(self) -> None:
-        """Wire the run observer through the shared store and policies."""
-        obs = self.observer
-        obs.hit_latency_s = self.config.hit_latency_s
-        seen = set()
-        for w in self.workers:
-            if hasattr(w.store, "attach_observer") and id(w.store) not in seen:
-                w.store.attach_observer(obs)
-                seen.add(id(w.store))
-            if id(w.policy) not in seen:
-                w.policy.attach_observer(obs)
-                seen.add(id(w.policy))
-
-    def _emit_run_start(self) -> None:
-        if not self.observer.active:
-            return
-        cfg = self.config
-        first = self.workers[0]
-        self.observer.on_run_start({
-            "policy": first.policy.name,
-            "model": first.model.spec.name if first.model.spec else "custom",
-            "dataset": self.train_set.name,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "io_workers": cfg.io_workers,
-            "prefetch_workers": cfg.prefetch_workers,
-            "hit_latency_s": cfg.hit_latency_s,
-            "world_size": self.world_size,
-            "shared_cache": self.shared_cache,
-            "cache_shards": self.cache_shards,
-        })
 
     # ------------------------------------------------------------------
     def replicas_in_sync(self, atol: float = 1e-10) -> bool:
@@ -351,192 +305,77 @@ class DataParallelTrainer:
                     return False
         return True
 
-    def _all_reduce_and_step(self) -> None:
-        """Average gradients across replicas, apply the same update to all."""
-        params_per_worker = [w.model.params() for w in self.workers]
-        n_params = len(params_per_worker[0])
-        for pi in range(n_params):
-            grads = [params_per_worker[k][pi][1] for k in range(self.world_size)]
-            mean = np.mean(grads, axis=0)
-            for g in grads:
-                np.copyto(g, mean)
-        for w in self.workers:
-            w.optimizer.step()
-
     # ------------------------------------------------------------------
-    def run(self) -> TrainResult:
-        """Train all replicas synchronously; returns the run record."""
+    # Accounting seams of Trainer's epoch loop.
+    def _begin_epoch(self, epoch: int) -> None:
+        """Drive a live shard resize, then mark each clock's load and RPC
+        totals for :meth:`_epoch_data_load`.
+
+        At the configured trigger epoch the client plans the migration;
+        every epoch boundary after that drains as many pending batches
+        as the (possibly faulted) shard tier will take, so a stalled
+        migration simply resumes next epoch once outages end and breaker
+        cool-downs elapse. ``cache_shards`` tracks the client's live
+        shard count once the ring swap lands.
+        """
+        client = self._shared_client()
+        if client is not None:
+            at = self.config.resize_shards_at
+            if at is not None and epoch == int(at[0]):
+                client.resize(int(at[1]), drain=False)
+            if client.migration is not None:
+                client.continue_migration()
+            self.cache_shards = client.n_shards
+        self._load_marks = [
+            c.stage_seconds(RemoteStore.STAGE) for c in self._clocks()
+        ]
+        self._rpc_mark = self._rpc_clock().stage_seconds(RPC_STAGE)
+
+    def _charge_slot(
+        self,
+        trained: List[Tuple[Batch, float]],
+        acc: EpochAccumulator,
+        costs: StageCostModel,
+        visible_is_ms: float,
+        slot: int,
+    ) -> None:
+        """Add one synchronous step to the epoch's compute total: every
+        worker waits for the one that trained the largest fraction."""
+        cfg = self.config
+        fraction = max(f for _, f in trained)
+        acc.compute_s += (
+            costs.stage1_ms + costs.stage2_ms * fraction
+        ) / 1e3 * ((cfg.batch_size / self.world_size) / cfg.reference_batch)
+
+    def _epoch_data_load(self, acc: EpochAccumulator) -> Tuple[float, float]:
+        """Straggler load (per-worker) or the shared store's load split
+        across workers plus cache RPC time (shared); and all-reduce time."""
         cfg = self.config
         k = self.world_size
-        first = self.workers[0]
-        spec = first.model.spec
-        costs = (
-            StageCostModel.from_spec(spec)
-            if spec is not None
-            else StageCostModel(42.0, 35.0, 16.0)
-        )
-        result = TrainResult(
-            policy_name=f"{first.policy.name}@dp{k}",
-            model_name=spec.name if spec else "custom",
-            dataset_name=self.train_set.name,
-        )
-        comm_factor = 2 * (k - 1) / k if k > 1 else 0.0
-        val_accuracy = 0.0
-        obs = self.observer
-        run_span = None
-        if obs.active:
-            self._emit_run_start()
-            run_span = obs.span_start(
-                "run", first.clock.total_seconds,
-                policy=result.policy_name, world_size=k,
-            )
-        client = self._shared_client()
-
-        # In shared-cache mode every worker aliases one policy/store.
-        policies = (
-            [self.workers[0].policy] if self.shared_cache
-            else [w.policy for w in self.workers]
-        )
-        clocks = (
-            [self.workers[0].clock] if self.shared_cache
-            else [w.clock for w in self.workers]
-        )
-
-        for epoch in range(cfg.epochs):
-            epoch_span = None
-            if obs.active:
-                obs.set_epoch(epoch)
-                epoch_span = obs.span_start("epoch", first.clock.total_seconds)
-            for w in self.workers:
-                w.optimizer.set_epoch(epoch)
-            for p in policies:
-                p.before_epoch(epoch)
-            if client is not None:
-                self._maybe_resize_shards(client, epoch)
-            load_before = [c.stage_seconds(RemoteStore.STAGE) for c in clocks]
-            # In wall-clock mode cache RPCs are measured on the client's
-            # own WallClock, not charged to the shared simulated clock.
-            rpc_clocks = (
-                [client.clock] * len(clocks)
-                if client is not None and cfg.clock_mode == "real"
-                else clocks
-            )
-            rpc_before = [c.stage_seconds(RPC_STAGE) for c in rpc_clocks]
-            stats_before = [
-                (s.requests, s.hits + s.substitute_hits, s.hits,
-                 s.substitute_hits)
-                for s in (p.stats() for p in policies)
-            ]
-            if self.shared_cache:
-                # One global importance order, split round-robin.
-                order = self.workers[0].policy.epoch_order(epoch)
-                iters = [
-                    w.loader.iter_epoch(order[rank :: k])
-                    for rank, w in enumerate(self.workers)
-                ]
-            else:
-                iters = [
-                    w.loader.iter_epoch(w.policy.epoch_order(epoch))
-                    for w in self.workers
-                ]
-            epoch_loss, n_seen, n_steps = 0.0, 0, 0
-            while True:
-                batches = []
-                for it in iters:
-                    batches.append(next(it, None))
-                live = [b for b in batches if b is not None]
-                if not live:
-                    break
-                for w in self.workers:
-                    w.optimizer.zero_grad()
-                for w, batch in zip(self.workers, batches):
-                    if batch is None:
-                        continue  # uneven shard tails contribute zero grads
-                    losses, emb = w.model.train_batch(batch.X, batch.y)
-                    w.policy.after_batch(
-                        batch.requested, batch.served, losses, emb, epoch
-                    )
-                    epoch_loss += float(losses.sum())
-                    n_seen += len(batch)
-                self._all_reduce_and_step()
-                n_steps += 1
-
-            # Stage accounting: straggler = slowest worker's load (sharded),
-            # or total shared-store load divided across workers (shared).
-            loads = [
-                (c.stage_seconds(RemoteStore.STAGE) - b) / cfg.io_workers
-                for c, b in zip(clocks, load_before)
-            ]
+        loads = [
+            (c.stage_seconds(RemoteStore.STAGE) - b) / cfg.io_workers
+            for c, b in zip(self._clocks(), self._load_marks)
+        ]
+        if self.shared_cache:
             # Cache-protocol RPC time (sharded service only) is extra
             # data-path latency; like the shared-store load it is split
             # across the workers issuing the calls.
-            rpcs = [
-                (c.stage_seconds(RPC_STAGE) - b) / k
-                for c, b in zip(rpc_clocks, rpc_before)
-            ]
-            data_load_s = (
-                loads[0] / k + rpcs[0] if self.shared_cache
-                else max(loads)
-            )
-            compute_s = n_steps * (costs.stage1_ms + costs.stage2_ms) / 1e3 * (
-                (cfg.batch_size / k) / cfg.reference_batch
-            )
-            comm_s = n_steps * self.comm_ms_per_step / 1e3 * comm_factor
-            mode = costs.recommended_mode()
-            is_visible_s = n_steps * costs.visible_is_ms(mode) / 1e3
+            rpc_s = (self._rpc_clock().stage_seconds(RPC_STAGE)
+                     - self._rpc_mark) / k
+            data_load_s = loads[0] / k + rpc_s
+        else:
+            data_load_s = max(loads)
+        comm_factor = 2 * (k - 1) / k if k > 1 else 0.0
+        comm_s = acc.n_batches * self.comm_ms_per_step / 1e3 * comm_factor
+        return data_load_s, comm_s
 
-            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-                val_accuracy, _ = first.model.evaluate(
-                    self.test_set.X, self.test_set.y
-                )
-            for p in policies:
-                p.after_epoch(epoch, val_accuracy)
+    def _clocks(self) -> List[SimClock]:
+        if self.shared_cache:
+            return [self.workers[0].clock]
+        return [w.clock for w in self.workers]
 
-            stats_after = [
-                (s.requests, s.hits + s.substitute_hits, s.hits,
-                 s.substitute_hits)
-                for s in (p.stats() for p in policies)
-            ]
-            req = sum(a[0] - b[0] for a, b in zip(stats_after, stats_before))
-            hit = sum(a[1] - b[1] for a, b in zip(stats_after, stats_before))
-            exact = sum(a[2] - b[2] for a, b in zip(stats_after, stats_before))
-            sub = sum(a[3] - b[3] for a, b in zip(stats_after, stats_before))
-
-            em = EpochMetrics(
-                epoch=epoch,
-                train_loss=epoch_loss / max(n_seen, 1),
-                val_accuracy=val_accuracy,
-                hit_ratio=hit / req if req else 0.0,
-                exact_hit_ratio=exact / req if req else 0.0,
-                substitute_ratio=sub / req if req else 0.0,
-                data_load_s=data_load_s,
-                compute_s=compute_s,
-                is_visible_s=is_visible_s,
-                epoch_time_s=data_load_s + compute_s + comm_s + is_visible_s,
-                imp_ratio=first.policy.imp_ratio,
-            )
-            result.epochs.append(em)
-            if obs.active:
-                obs.on_epoch_metrics(dataclasses.asdict(em))
-                if client is not None:
-                    obs.on_shards(client.shard_snapshots())
-            if epoch_span is not None:
-                obs.span_end(
-                    epoch_span, first.clock.total_seconds, steps=n_steps
-                )
-        if run_span is not None:
-            obs.span_end(
-                run_span, first.clock.total_seconds,
-                epochs=len(result.epochs),
-            )
-        self.close()
-        return result
-
-    def close(self) -> None:
-        """Release wall-clock resources — the real transport's shard
-        worker processes. No-op (and idempotent) for simulated runs."""
-        if self.config.clock_mode != "real":
-            return
+    def _rpc_clock(self):
+        """Where cache RPCs are charged: the shared clock, or in
+        wall-clock mode the client's own WallClock."""
         client = self._shared_client()
-        if client is not None and hasattr(client, "close"):
-            client.close()
+        return client.clock if client is not None else self._clocks()[0]

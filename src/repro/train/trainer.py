@@ -15,8 +15,17 @@ simulated time per the Fig.-2 pipeline:
 Real wall-clock time is spent doing genuine forward/backward math — the
 learning dynamics are real; only I/O and GPU-relative speeds are simulated.
 
-The epoch loop is resumable: :meth:`Trainer._run_epoch` accepts a
-pre-drawn order, a starting batch slot, and a partially-filled
+:meth:`Trainer._run_epoch` is the one epoch loop, for serial and
+data-parallel runs alike. It drives a list of replicas (model, policy,
+store, clock, loader, optimizer); a serial trainer is its own single
+replica. Each distinct policy draws one order per epoch, split
+round-robin among the replicas sharing it. Each batch slot collates every
+replica's batch, runs each replica's forward/backward, and ends with one
+all-reduce-and-step. How a slot and an epoch are charged is left to three
+methods a multi-replica trainer overrides (see :class:`Trainer`).
+
+The epoch loop is resumable: it accepts the epoch's pre-drawn orders, a
+starting batch slot, and a partially-filled
 :class:`EpochAccumulator`, and invokes a per-batch hook — the seams
 :class:`~repro.resilience.trainer.ResilientTrainer` uses to checkpoint
 mid-epoch and replay exactly after a simulated preemption. Compute and
@@ -29,13 +38,13 @@ epoch boundaries.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.semantic_cache import FetchSource
-from repro.data.loader import DataLoader
+from repro.data.loader import Batch, DataLoader
 from repro.data.synthetic import SyntheticDataset
 from repro.nn.models import Model
 from repro.nn.optim import SGD
@@ -161,6 +170,13 @@ class Trainer:
     The test set is evaluated every ``eval_every`` epochs; policies receive
     the latest accuracy in ``after_epoch`` (the Elastic Cache Manager's
     Accuracy Monitor input).
+
+    The epoch loop drives :attr:`replicas` — objects with ``model``,
+    ``policy``, ``store``, ``clock``, ``loader`` and ``optimizer`` — and a
+    serial trainer is its own single replica. Subclasses that build
+    several replicas (:class:`~repro.train.data_parallel.DataParallelTrainer`)
+    differ only in their accounting: :meth:`_charge_slot`,
+    :meth:`_epoch_data_load` and :meth:`_begin_epoch`.
     """
 
     def __init__(
@@ -174,14 +190,9 @@ class Trainer:
         rng: RngLike = None,
         observer: Optional[Observer] = None,
     ) -> None:
+        self._init_run(train_set, test_set, config, rng, observer)
         self.model = model
-        self.train_set = train_set
-        self.test_set = test_set
         self.policy = policy
-        self.config = config or TrainerConfig()
-        self._rng = resolve_rng(rng)
-        self.observer = observer if observer is not None else NULL_OBSERVER
-
         self.clock = SimClock()
         self.store = RemoteStore(
             train_set.X,
@@ -189,29 +200,17 @@ class Trainer:
             latency=latency or ConstantLatency(),
             clock=self.clock,
         )
-        self.optimizer = SGD(
-            model.params(),
-            lr=self.config.lr,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
-            schedule=self.config.build_schedule(),
-        )
-        embedding_dim = model.embedding_dim
+        self.optimizer = self._make_optimizer(model)
         policy.setup(
             PolicyContext(
                 dataset=train_set,
                 store=self.store,
                 batch_size=self.config.batch_size,
                 total_epochs=self.config.epochs,
-                embedding_dim=embedding_dim,
+                embedding_dim=model.embedding_dim,
                 rng=self._rng,
             )
         )
-        if self.config.clock_mode not in ("sim", "real"):
-            raise ValueError(
-                f"clock_mode must be 'sim' or 'real', "
-                f"got {self.config.clock_mode!r}"
-            )
         if self.config.prefetch_workers > 0:
             from repro.data.prefetch import PrefetchingDataLoader
 
@@ -234,12 +233,53 @@ class Trainer:
             self.loader = DataLoader(
                 train_set.y, policy.fetch, batch_size=self.config.batch_size
             )
-        self._val_accuracy = 0.0
         self._attach_observer()
+
+    def _init_run(
+        self,
+        train_set: SyntheticDataset,
+        test_set: SyntheticDataset,
+        config: Optional[TrainerConfig],
+        rng: RngLike,
+        observer: Optional[Observer],
+    ) -> None:
+        """State every trainer shares, set before any replica is built."""
+        self.train_set = train_set
+        self.test_set = test_set
+        self.config = config or TrainerConfig()
+        if self.config.clock_mode not in ("sim", "real"):
+            raise ValueError(
+                f"clock_mode must be 'sim' or 'real', "
+                f"got {self.config.clock_mode!r}"
+            )
+        self._rng = resolve_rng(rng)
+        self.observer = observer if observer is not None else NULL_OBSERVER
+        self._val_accuracy = 0.0
+        # Suffix of the run's policy name and extra run-start fields; a
+        # multi-replica trainer names its topology here.
+        self._run_suffix = ""
+        self._topology: Dict[str, object] = {}
+
+    def _make_optimizer(self, model: Model) -> SGD:
+        """One replica's optimizer, with the config's LR schedule."""
+        cfg = self.config
+        return SGD(
+            model.params(),
+            lr=cfg.lr,
+            momentum=cfg.momentum,
+            weight_decay=cfg.weight_decay,
+            schedule=cfg.build_schedule(),
+        )
+
+    @property
+    def replicas(self) -> list:
+        """What the epoch loop drives: a serial trainer is its own replica."""
+        return [self]
 
     # ------------------------------------------------------------------
     def _attach_observer(self) -> None:
-        """Wire ``self.observer`` through the store stack and the policy.
+        """Wire ``self.observer`` through every replica's store stack,
+        loader and policy.
 
         Idempotent; re-run at the top of :meth:`run` because tests and
         the resilience layer wrap ``self.store`` after construction.
@@ -248,29 +288,33 @@ class Trainer:
         if not obs.active:
             return
         obs.hit_latency_s = self.config.hit_latency_s
-        store = self.store
-        while True:
-            # Duck-typed walk (isinstance on resilience types would cycle
-            # imports): a wrapper owning a circuit breaker exposes it in
-            # its own __dict__; __getattr__ forwarding is bypassed so each
-            # breaker attaches exactly once.
-            breaker = store.__dict__.get("breaker")
-            if breaker is not None and hasattr(breaker, "attach_observer"):
-                breaker.attach_observer(obs)
-            inner = store.__dict__.get("inner")
-            if inner is None:
-                break
-            store = inner
-        if hasattr(store, "attach_observer"):
-            store.attach_observer(obs)
-        if hasattr(self.loader, "attach_observer"):
-            self.loader.attach_observer(obs)
-        self.policy.attach_observer(obs)
+        replicas = self.replicas
+        for store in _distinct(r.store for r in replicas):
+            while True:
+                # Duck-typed walk (isinstance on resilience types would
+                # cycle imports): a wrapper owning a circuit breaker
+                # exposes it in its own __dict__; __getattr__ forwarding
+                # is bypassed so each breaker attaches exactly once.
+                breaker = store.__dict__.get("breaker")
+                if breaker is not None and hasattr(breaker, "attach_observer"):
+                    breaker.attach_observer(obs)
+                inner = store.__dict__.get("inner")
+                if inner is None:
+                    break
+                store = inner
+            if hasattr(store, "attach_observer"):
+                store.attach_observer(obs)
+        for loader in _distinct(r.loader for r in replicas):
+            if hasattr(loader, "attach_observer"):
+                loader.attach_observer(obs)
+        for policy in _distinct(r.policy for r in replicas):
+            policy.attach_observer(obs)
 
     # ------------------------------------------------------------------
     def _stage_costs(self) -> StageCostModel:
-        spec = self.model.spec
-        policy_is = self.policy.is_ms_per_batch  # None = defer to the spec
+        first = self.replicas[0]
+        spec = first.model.spec
+        policy_is = first.policy.is_ms_per_batch  # None = defer to the spec
         if spec is not None:
             costs = StageCostModel.from_spec(spec)
             if policy_is is not None:
@@ -281,9 +325,10 @@ class Trainer:
                               16.0 if policy_is is None else policy_is)
 
     def _new_result(self) -> TrainResult:
+        first = self.replicas[0]
         return TrainResult(
-            policy_name=self.policy.name,
-            model_name=self.model.spec.name if self.model.spec else "custom",
+            policy_name=first.policy.name + self._run_suffix,
+            model_name=first.model.spec.name if first.model.spec else "custom",
             dataset_name=self.train_set.name,
         )
 
@@ -293,114 +338,149 @@ class Trainer:
         if not self.observer.active:
             return
         cfg = self.config
+        first = self.replicas[0]
         self.observer.on_run_start({
-            "policy": self.policy.name,
-            "model": self.model.spec.name if self.model.spec else "custom",
+            "policy": first.policy.name,
+            "model": first.model.spec.name if first.model.spec else "custom",
             "dataset": self.train_set.name,
             "epochs": cfg.epochs,
             "batch_size": cfg.batch_size,
             "io_workers": cfg.io_workers,
             "prefetch_workers": cfg.prefetch_workers,
             "hit_latency_s": cfg.hit_latency_s,
+            **self._topology,
         })
 
     def run(self) -> TrainResult:
         """Train for ``config.epochs`` epochs; returns the full run record."""
         self._attach_observer()
+        clock = self.replicas[0].clock
         obs = self.observer
+        result = self._new_result()
         run_span = None
         if obs.active:
             self._emit_run_start()
             run_span = obs.span_start(
-                "run", self.clock.total_seconds, policy=self.policy.name
+                "run", clock.total_seconds, policy=result.policy_name,
+                **self._topology,
             )
-        result = self._new_result()
         for epoch in range(self.config.epochs):
             self._run_epoch(epoch, result)
         if run_span is not None:
             obs.span_end(
-                run_span, self.clock.total_seconds, epochs=len(result.epochs)
+                run_span, clock.total_seconds, epochs=len(result.epochs)
             )
+        self.close()
         return result
+
+    def close(self) -> None:
+        """Release wall-clock resources — a real-transport cache tier's
+        shard worker processes. No-op (and idempotent) otherwise."""
+        if self.config.clock_mode != "real":
+            return
+        for policy in _distinct(r.policy for r in self.replicas):
+            close = getattr(getattr(policy, "cache", None), "close", None)
+            if close is not None:
+                close()
 
     # ------------------------------------------------------------------
     def _run_epoch(
         self,
         epoch: int,
         result: TrainResult,
-        order: Optional[np.ndarray] = None,
+        orders: Optional[List[np.ndarray]] = None,
         start_batch: int = 0,
         acc: Optional[EpochAccumulator] = None,
         batch_hook: Optional[
-            Callable[[int, int, np.ndarray, "EpochAccumulator"], None]
+            Callable[[int, int, List[np.ndarray], "EpochAccumulator"], None]
         ] = None,
     ) -> None:
         """One epoch, optionally resumed from batch slot ``start_batch``.
 
-        A fresh epoch (``order is None``) runs the policy's ``before_epoch``
-        hook and draws the order; a resumed one must pass the checkpointed
-        ``order``/``acc`` (the hook already ran in the original timeline —
-        its effects live in the restored policy state). ``batch_hook`` fires
-        after every batch slot — substituted or skipped alike — with
-        ``(epoch, slot, order, acc)``; resilience layers preempt and
-        checkpoint from it.
+        A fresh epoch (``orders is None``) runs every distinct policy's
+        ``before_epoch`` hook, then :meth:`_begin_epoch`, then draws one
+        order per distinct policy. Each order is split round-robin among
+        the replicas sharing that policy (``order[0::1]`` when serial).
+        A resumed epoch must pass the checkpointed ``orders``/``acc`` (the
+        hooks already ran in the original timeline — their effects live in
+        the restored state). ``batch_hook`` fires after every batch slot —
+        substituted or skipped alike — with ``(epoch, slot, orders, acc)``;
+        resilience layers preempt and checkpoint from it.
         """
         cfg = self.config
         costs = self._stage_costs()
         visible_is_per_batch_ms = costs.visible_is_ms(costs.recommended_mode())
+        replicas = self.replicas
+        policies = _distinct(r.policy for r in replicas)
+        clock = replicas[0].clock
 
         obs = self.observer
         epoch_span = None
         if obs.active:
             obs.set_epoch(epoch)
-            epoch_span = obs.span_start("epoch", self.clock.total_seconds)
-        self.optimizer.set_epoch(epoch)
-        if order is None:
-            self.policy.before_epoch(epoch)
-            order = self.policy.epoch_order(epoch)
+            epoch_span = obs.span_start("epoch", clock.total_seconds)
+        for r in replicas:
+            r.optimizer.set_epoch(epoch)
+        if orders is None:
+            for policy in policies:
+                policy.before_epoch(epoch)
+            self._begin_epoch(epoch)
+            orders = [policy.epoch_order(epoch) for policy in policies]
         if acc is None:
             acc = EpochAccumulator(
-                load_before_s=self.clock.stage_seconds(RemoteStore.STAGE),
-                stats_before=_snapshot(self.policy),
+                load_before_s=clock.stage_seconds(RemoteStore.STAGE),
+                stats_before=_snapshot(policies),
             )
+        split_of = {}
+        for policy, order in zip(policies, orders):
+            sharing = [r for r in replicas if r.policy is policy]
+            for rank, r in enumerate(sharing):
+                split_of[id(r)] = order[rank :: len(sharing)]
+        lanes = [(r, split_of[id(r)]) for r in replicas]
+        n_slots = max(r.loader.n_batches(split) for r, split in lanes)
 
-        for slot in range(start_batch, self.loader.n_batches(order)):
+        for slot in range(start_batch, n_slots):
             batch_span = None
             if obs.active:
-                t_slot = self.clock.total_seconds
+                t_slot = clock.total_seconds
                 batch_span = obs.span_start("batch", t_slot, slot=slot)
-            batch = self.loader.collate(self.loader.batch_ids(order, slot))
+            # A replica whose split has run out collates nothing.
+            batches = [
+                r.loader.collate(r.loader.batch_ids(split, slot))
+                for r, split in lanes
+            ]
             if obs.active:
-                t_loaded = self.clock.total_seconds
+                t_loaded = clock.total_seconds
                 if t_loaded > t_slot:
                     obs.span_record("data_load", t_slot, t_loaded, slot=slot)
-            if batch is not None:
-                self._train_batch(
-                    batch, epoch, acc, costs, visible_is_per_batch_ms,
-                    slot=slot,
-                )
+            for r in replicas:
+                r.optimizer.zero_grad()
+            trained = [
+                (batch, self._forward_backward(r, batch, epoch, acc))
+                for r, batch in zip(replicas, batches)
+                if batch is not None
+            ]
+            if trained:
+                self._all_reduce_and_step()
+                acc.n_batches += 1
+                self._charge_slot(trained, acc, costs,
+                                  visible_is_per_batch_ms, slot)
             if batch_span is not None:
-                obs.span_end(batch_span, self.clock.total_seconds)
+                obs.span_end(batch_span, clock.total_seconds)
             if batch_hook is not None:
-                batch_hook(epoch, slot, order, acc)
+                batch_hook(epoch, slot, orders, acc)
 
-        # Stage accounting for the epoch (compute/IS/preprocess were
-        # already charged to the clock per batch).
-        raw_load_s = self.clock.stage_seconds(RemoteStore.STAGE) - acc.load_before_s
-        # With prefetching the raw total is already overlap-charged
-        # (max-of-window); dividing it by io_workers again would model
-        # the same parallelism twice.
-        load_div = 1 if cfg.prefetch_workers > 0 else cfg.io_workers
-        data_load_s = raw_load_s / load_div + acc.hits * cfg.hit_latency_s
+        data_load_s, comm_s = self._epoch_data_load(acc)
         is_visible_s = acc.n_batches * visible_is_per_batch_ms / 1e3
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            self._val_accuracy, _ = self.model.evaluate(
+            self._val_accuracy, _ = replicas[0].model.evaluate(
                 self.test_set.X, self.test_set.y
             )
-        self.policy.after_epoch(epoch, self._val_accuracy)
+        for policy in policies:
+            policy.after_epoch(epoch, self._val_accuracy)
 
-        stats_after = _snapshot(self.policy)
+        stats_after = _snapshot(policies)
         d_req = stats_after[0] - acc.stats_before[0]
         d_hit = stats_after[1] - acc.stats_before[1]
         d_exact = stats_after[2] - acc.stats_before[2]
@@ -410,7 +490,7 @@ class Trainer:
         sub_ratio = d_sub / d_req if d_req else 0.0
 
         score_std = None
-        table = getattr(self.policy, "score_table", None)
+        table = getattr(policies[0], "score_table", None)
         if table is not None and table.std_history:
             score_std = table.std_history[-1]
 
@@ -425,61 +505,91 @@ class Trainer:
             compute_s=acc.compute_s,
             is_visible_s=is_visible_s,
             epoch_time_s=(
-                data_load_s + acc.compute_s + is_visible_s
+                data_load_s + acc.compute_s + comm_s + is_visible_s
                 + acc.preprocess_s
             ),
-            imp_ratio=self.policy.imp_ratio,
+            imp_ratio=policies[0].imp_ratio,
             score_std=score_std,
             preprocess_s=acc.preprocess_s,
         )
         result.epochs.append(em)
         if obs.active:
             obs.on_epoch_metrics(dataclasses.asdict(em))
+            for policy in policies:
+                cache = getattr(policy, "cache", None)
+                if hasattr(cache, "shard_snapshots"):
+                    obs.on_shards(cache.shard_snapshots())
         if epoch_span is not None:
             obs.span_end(
-                epoch_span, self.clock.total_seconds, batches=acc.n_batches
+                epoch_span, clock.total_seconds, batches=acc.n_batches
             )
 
-    def _train_batch(
-        self,
-        batch,
-        epoch: int,
-        acc: EpochAccumulator,
-        costs: StageCostModel,
-        visible_is_per_batch_ms: float,
-        slot: int = 0,
-    ) -> None:
-        cfg = self.config
-        transform = cfg.transform
-        self.optimizer.zero_grad()
+    def _forward_backward(
+        self, replica, batch, epoch: int, acc: EpochAccumulator
+    ) -> float:
+        """One replica's pass over its batch; returns the trained fraction.
+
+        Leaves the gradients in place for :meth:`_all_reduce_and_step`.
+        """
         x = batch.X
-        batch_preprocess_s = 0.0
-        if transform is not None:
-            x = transform(x, training=True)
-            batch_preprocess_s = transform.cost_us_per_item * len(batch) / 1e6
-            acc.preprocess_s += batch_preprocess_s
+        if self.config.transform is not None:
+            x = self.config.transform(x, training=True)
         trained_fraction = 1.0
         # One forward/backward pass; policies that mask backprop (iCache)
         # need the losses first, so their path re-runs the pass with the
         # per-sample weights applied.
-        losses, emb = self.model.train_batch(x, batch.y)
-        mask = self.policy.backprop_mask(batch.served, losses)
+        losses, emb = replica.model.train_batch(x, batch.y)
+        mask = replica.policy.backprop_mask(batch.served, losses)
         if mask is not None:
             # Re-run with weights (the probe above already consumed the
             # layer caches, so gradients must be rebuilt).
-            self.optimizer.zero_grad()
-            losses, emb = self.model.train_batch(x, batch.y, mask)
+            replica.optimizer.zero_grad()
+            losses, emb = replica.model.train_batch(x, batch.y, mask)
             trained_fraction = float(np.mean(mask > 0))
-        self.optimizer.step()
-
-        self.policy.after_batch(
+        replica.policy.after_batch(
             batch.requested, batch.served, losses, emb, epoch
         )
-
         acc.loss += float(losses.sum())
         acc.n_seen += len(batch)
-        acc.n_batches += 1
         acc.hits += sum(1 for s in batch.sources if s != FetchSource.REMOTE)
+        return trained_fraction
+
+    def _all_reduce_and_step(self) -> None:
+        """Average gradients across replicas, apply the same update to all."""
+        replicas = self.replicas
+        if len(replicas) > 1:  # a lone replica's mean is its own gradient
+            grads_per_replica = ([g for _, g in r.model.params()] for r in replicas)
+            for grads in zip(*grads_per_replica):
+                mean = np.mean(grads, axis=0)
+                for g in grads:
+                    np.copyto(g, mean)
+        for r in replicas:
+            r.optimizer.step()
+
+    # ------------------------------------------------------------------
+    # Accounting: the three seams a multi-replica trainer overrides.
+    def _begin_epoch(self, epoch: int) -> None:
+        """Epoch-boundary work between ``before_epoch`` and the order
+        draw; nothing for a serial run."""
+
+    def _charge_slot(
+        self,
+        trained: List[Tuple[Batch, float]],
+        acc: EpochAccumulator,
+        costs: StageCostModel,
+        visible_is_ms: float,
+        slot: int,
+    ) -> None:
+        """Charge one slot's compute, visible IS and preprocess time to the
+        clock, so simulated time advances mid-epoch."""
+        cfg = self.config
+        ((batch, trained_fraction),) = trained
+        batch_preprocess_s = 0.0
+        if cfg.transform is not None:
+            batch_preprocess_s = (
+                cfg.transform.cost_us_per_item * len(batch) / 1e6
+            )
+            acc.preprocess_s += batch_preprocess_s
         scale = len(batch) / cfg.reference_batch
         batch_compute_s = (
             costs.stage1_ms + costs.stage2_ms * trained_fraction
@@ -488,36 +598,52 @@ class Trainer:
         obs = self.observer
         t0 = self.clock.total_seconds if obs.active else 0.0
         self.clock.advance("compute", batch_compute_s)
-        self.clock.advance("is_visible", visible_is_per_batch_ms / 1e3)
+        self.clock.advance("is_visible", visible_is_ms / 1e3)
         if batch_preprocess_s:
             self.clock.advance("preprocess", batch_preprocess_s)
         if obs.active:
             # The advance amounts are known, so stage span bounds are
             # derived arithmetically from one clock read.
             t1 = t0 + batch_compute_s
-            t2 = t1 + visible_is_per_batch_ms / 1e3
+            t2 = t1 + visible_is_ms / 1e3
             obs.span_record("compute", t0, t1, slot=slot)
             obs.span_record("is_visible", t1, t2, slot=slot)
             if batch_preprocess_s:
                 obs.span_record(
                     "preprocess", t2, t2 + batch_preprocess_s, slot=slot
                 )
-        if self.observer.active:
-            self.observer.on_batch(
+            obs.on_batch(
                 slot,
                 len(batch),
                 trained_fraction,
                 batch_compute_s,
                 batch_preprocess_s,
-                visible_is_per_batch_ms / 1e3,
+                visible_is_ms / 1e3,
             )
 
+    def _epoch_data_load(self, acc: EpochAccumulator) -> Tuple[float, float]:
+        """The epoch's ``(data_load_s, comm_s)``: remote fetch time over
+        the loader's parallelism plus hit latency, and no communication."""
+        cfg = self.config
+        raw_load_s = self.clock.stage_seconds(RemoteStore.STAGE) - acc.load_before_s
+        # With prefetching the raw total is already overlap-charged
+        # (max-of-window); dividing it by io_workers again would model
+        # the same parallelism twice.
+        load_div = 1 if cfg.prefetch_workers > 0 else cfg.io_workers
+        return raw_load_s / load_div + acc.hits * cfg.hit_latency_s, 0.0
 
-def _snapshot(policy: TrainingPolicy):
-    s = policy.stats()
+
+def _distinct(items) -> list:
+    """``items`` without repeats (by identity), in first-seen order."""
+    return list({id(x): x for x in items}.values())
+
+
+def _snapshot(policies: List[TrainingPolicy]) -> Tuple[int, int, int, int]:
+    """Summed cache counters: requests, hits, exact hits, substitutes."""
+    stats = [p.stats() for p in policies]
     return (
-        s.requests,
-        s.hits + s.substitute_hits,
-        s.hits,
-        s.substitute_hits,
+        sum(s.requests for s in stats),
+        sum(s.hits + s.substitute_hits for s in stats),
+        sum(s.hits for s in stats),
+        sum(s.substitute_hits for s in stats),
     )

@@ -104,3 +104,35 @@ def test_dist_tier_holds_no_cache_policy():
     client = importlib.import_module("repro.dist.client")
     assert not hasattr(client, "ImportanceView")
     assert not hasattr(client, "HomophilyView")
+
+
+def test_one_epoch_loop():
+    """Serial and data-parallel training share one epoch loop: a single
+    function under repro/train builds EpochMetrics, and the data-parallel
+    trainer keeps no run loop of its own."""
+    import ast
+    import pathlib
+
+    train_dir = pathlib.Path(repro.__file__).parent / "train"
+    builders = []
+    for path in sorted(train_dir.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "EpochMetrics"
+                for node in ast.walk(fn)
+            ):
+                builders.append(f"{path.name}:{fn.name}")
+    assert builders == ["trainer.py:_run_epoch"], builders
+
+    dp_tree = ast.parse((train_dir / "data_parallel.py").read_text())
+    defined = {
+        node.name
+        for node in ast.walk(dp_tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "run" not in defined

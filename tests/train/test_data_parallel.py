@@ -1,13 +1,17 @@
 """Data-parallel trainer tests: replica sync, learning, time shape."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines.baseline import LRUBaselinePolicy
+from repro.baselines.icache import ICacheImpPolicy
 from repro.core.policy import SpiderCachePolicy
 from repro.data.synthetic import make_clustered_dataset, train_test_split
 from repro.data.transforms import GaussianNoise
 from repro.nn.models import build_model
+from repro.nn.optim import CosineLR
 from repro.train.data_parallel import DataParallelTrainer
 from repro.train.trainer import Trainer, TrainerConfig
 
@@ -42,11 +46,11 @@ def test_invalid_world_size(data):
 @pytest.mark.parametrize("name,value", [
     ("prefetch_workers", 4),
     ("transform", GaussianNoise(0.1, rng=0)),
-    ("lr_schedule", "cosine"),
+    ("clock_mode", "wallclock"),
 ])
 def test_rejects_config_knobs_it_does_not_implement(data, name, value):
-    """A TrainerConfig knob the data-parallel loop would ignore is refused
-    at construction instead of silently dropped."""
+    """A TrainerConfig knob the data-parallel workers would ignore (or an
+    invalid one) is refused at construction instead of silently dropped."""
     train, test = data
     with pytest.raises(ValueError, match=name):
         DataParallelTrainer(
@@ -58,6 +62,39 @@ def test_rejects_config_knobs_it_does_not_implement(data, name, value):
             world_size=2,
             config=TrainerConfig(epochs=1, batch_size=64, **{name: value}),
         )
+
+
+def test_lr_schedule_drives_every_replica(data):
+    train, test = data
+    epochs = 3
+    dp = DataParallelTrainer(
+        model_factory=lambda: build_model("resnet18", train.dim,
+                                          train.num_classes, rng=7),
+        train_set=train,
+        test_set=test,
+        policy_factory=lambda rank: LRUBaselinePolicy(0.3, rng=rank),
+        world_size=2,
+        config=TrainerConfig(epochs=epochs, batch_size=64, lr=0.05,
+                             lr_schedule="cosine"),
+        rng=5,
+    )
+    dp.run()
+    want = CosineLR(0.05, total_epochs=epochs).lr_at(epochs - 1)
+    assert want < 0.05
+    for w in dp.workers:
+        assert w.optimizer.current_lr == pytest.approx(want)
+    assert dp.replicas_in_sync(atol=1e-8)
+
+
+def test_backprop_mask_shrinks_stage2_compute(data):
+    """iCache's selective backprop takes effect on data-parallel workers:
+    its run charges less compute than the same run with full backprop."""
+    def compute_s(skip_quantile):
+        policy_cls = partial(ICacheImpPolicy, skip_quantile=skip_quantile)
+        res = _dp(data, 2, epochs=2, policy_cls=policy_cls).run()
+        return sum(e.compute_s for e in res.epochs)
+
+    assert compute_s(0.3) < compute_s(0.0)
 
 
 def test_shards_partition_dataset(data):
