@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test coverage bench bench-csv bench-trajectory bench-tracing examples smoke faults concurrency dist load transport report all
+.PHONY: install test coverage bench bench-csv bench-trajectory bench-tracing perfbench-smoke examples smoke faults concurrency dist load transport report all
 
 # Where `make report` writes (and reads back) its traced demo run.
 REPORT_DIR ?= results/traced-run
@@ -34,6 +34,12 @@ bench-trajectory:
 # fails; `--write` refreshes the committed benchmarks/BENCH_TRACING.json.
 bench-tracing:
 	$(PYTHON) benchmarks/tracing_overhead.py --write
+
+# Repository benchmark, output checks only: one short traced train-exact
+# pass. Exits non-zero when a bit-identity check fails or a method the
+# traced pass wraps by name (neighbors_within_batch, add_batch, ...) is gone.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload train-exact --seed 1 --seconds 1 --trace 1
 
 # Same benches, also dumping every table as CSV into results/.
 bench-csv:

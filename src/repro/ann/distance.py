@@ -13,6 +13,8 @@ thresholds on; callers needing exact zeros should compare ids, not distances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "l2_distance_matrix",
     "pairwise_l2",
     "cosine_distance_matrix",
+    "squared_radius",
 ]
 
 
@@ -64,6 +67,29 @@ def l2_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
+
+
+def squared_radius(radius: float) -> float:
+    """Exact squared threshold ``t* = max{t : sqrt(t) <= radius}``.
+
+    ``sqrt`` is correctly rounded and monotone, so for any float ``t``,
+    ``t <= t*`` exactly when ``sqrt(max(t, 0)) <= radius``. A range query
+    can then compare squared distances against ``t*`` and keep the edge set
+    a ``sqrt`` of every distance would give. ``radius * radius`` itself is
+    rounded and may sit a step off ``t*``; a few ``nextafter`` steps fix
+    it. A negative or NaN radius admits nothing (``-inf``).
+    """
+    r = float(radius)
+    if not r >= 0.0:
+        return -math.inf
+    t = r * r
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, -math.inf)
+    while True:
+        up = math.nextafter(t, math.inf)
+        if up == t or math.sqrt(up) > r:
+            return t
+        t = up
 
 
 def pairwise_l2(points: np.ndarray) -> np.ndarray:

@@ -24,12 +24,11 @@ one-neighbor samples without producing infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.ann.brute import BruteForceIndex
+from repro.ann.brute import BruteForceIndex, RangeRows
 from repro.ann.hnsw import HNSWIndex
 
 __all__ = ["GraphImportanceScorer", "NodeScore", "importance_score", "edge_radius"]
@@ -66,16 +65,33 @@ def importance_score(
     return np.log(part1 + part2 + 1.0)
 
 
-@dataclass
 class NodeScore:
-    """Scoring result for one sample in a batch."""
+    """Scoring result for one sample in a batch.
 
-    index: int
-    score: float
-    x_same: int
-    x_other: int
-    neighbor_ids: np.ndarray  # edge-connected neighbors (for homophily cache)
-    neighbor_dists: np.ndarray  # matching distances, ascending
+    ``neighbor_ids`` (edge-connected neighbors, for the homophily cache) and
+    ``neighbor_dists`` (their distances, ascending) are read from the
+    batch's :class:`~repro.ann.brute.RangeRows`, which sorts a row only
+    when it is first read: a batch keeps just one node's list.
+    """
+
+    __slots__ = ("index", "score", "x_same", "x_other", "_rows", "_row")
+
+    def __init__(self, index: int, score: float, x_same: int, x_other: int,
+                 rows: RangeRows, row: int) -> None:
+        self.index = index
+        self.score = score
+        self.x_same = x_same
+        self.x_other = x_other
+        self._rows = rows
+        self._row = row
+
+    @property
+    def neighbor_ids(self) -> np.ndarray:
+        return self._rows[self._row][0]
+
+    @property
+    def neighbor_dists(self) -> np.ndarray:
+        return self._rows[self._row][1]
 
     @property
     def degree(self) -> int:
@@ -210,18 +226,21 @@ class GraphImportanceScorer:
             for i, e in zip(indices, embeddings):
                 self.index.update(int(i), e)
 
-    def _neighbor_lists(
+    def _neighbor_rows(
         self, indices: np.ndarray, embeddings: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    ) -> RangeRows:
         """Range-query each batch sample, excluding the sample itself.
 
-        Both backends expose the same batched range-query API; the HNSW
-        backend shares its vectorized row-distance kernel across every hop
-        of every query in the batch.
+        Both backends expose the same batched range-query API. The exact
+        backend answers with :class:`RangeRows` straight from one
+        squared-distance mask; the HNSW backend shares its vectorized
+        row-distance kernel across every hop of every query and returns
+        finished lists, which are wrapped into the same form.
         """
-        return self.index.neighbors_within_batch(
+        rows = self.index.neighbors_within_batch(
             embeddings, self.radius, exclude=indices, max_neighbors=self.neighbormax
         )
+        return rows if isinstance(rows, RangeRows) else RangeRows.from_lists(rows)
 
     def score_batch(
         self, indices: Sequence[int], embeddings: np.ndarray
@@ -230,8 +249,9 @@ class GraphImportanceScorer:
 
         Updates the index with the new embeddings first, then computes each
         sample's neighbor counts and Eq.-4 score. Returns per-sample
-        :class:`NodeScore` records including neighbor lists (callers keep
-        only the top-degree node's list, discarding the transient graph).
+        :class:`NodeScore` records whose neighbor lists are sorted on first
+        read (callers keep only the top-degree node's list, discarding the
+        transient graph).
         """
         indices = np.asarray(indices, dtype=np.int64)
         embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
@@ -240,34 +260,32 @@ class GraphImportanceScorer:
         if self.auto_calibrate:
             self._observe_scale(embeddings, self.labels[indices])
         self.update_embeddings(indices, embeddings)
-        neigh = self._neighbor_lists(indices, embeddings)
+        rows = self._neighbor_rows(indices, embeddings)
 
-        # Neighbor counts per sample (ragged lists force the small loop),
-        # then one vectorized Eq.-4 call over the whole batch.
+        # Neighbor counts for the whole batch from one label gather over
+        # the CSR hits. A row past ``neighbormax`` keeps only its nearest
+        # ``neighbormax`` hits, so only those rows are sorted and recounted.
         n = indices.shape[0]
-        x_same = np.zeros(n, dtype=np.int64)
-        x_other = np.zeros(n, dtype=np.int64)
-        for j, (nid, _) in enumerate(neigh):
-            if nid.size:
-                same = int(np.sum(self.labels[nid] == self.labels[indices[j]]))
-                x_same[j] = same
-                x_other[j] = nid.size - same
+        own = self.labels[indices]
+        degree = rows.hits
+        hit_row = np.repeat(np.arange(n), degree)
+        same = self.labels[rows.ids] == own[hit_row]
+        x_same = np.bincount(hit_row[same], minlength=n)
+        for j in rows.over_cap():
+            nid, _ = rows[j]
+            x_same[j] = np.count_nonzero(self.labels[nid] == own[j])
+            degree[j] = nid.size
+        x_other = degree - x_same
         scores = importance_score(
             x_same, x_other, self.neighbormax, self.zero_same_part1
         )
-
-        results: List[NodeScore] = []
-        for j in range(n):
-            nid, nd = neigh[j]
-            results.append(
-                NodeScore(
-                    index=int(indices[j]), score=float(scores[j]),
-                    x_same=int(x_same[j]), x_other=int(x_other[j]),
-                    neighbor_ids=nid.astype(np.int64),
-                    neighbor_dists=np.asarray(nd, dtype=np.float64),
-                )
-            )
-        return results
+        return [
+            NodeScore(i, s, a, b, rows, j)
+            for j, (i, s, a, b) in enumerate(zip(
+                indices.tolist(), scores.tolist(), x_same.tolist(),
+                x_other.tolist(),
+            ))
+        ]
 
     @staticmethod
     def top_degree_node(scores: Sequence[NodeScore]) -> Optional[NodeScore]:

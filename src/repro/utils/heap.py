@@ -187,39 +187,50 @@ class IndexedMinHeap:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _less(self, a: int, b: int) -> bool:
-        ea, eb = self._heap[a], self._heap[b]
-        return (ea[0], ea[1]) < (eb[0], eb[1])
-
-    def _swap(self, a: int, b: int) -> None:
-        heap, pos = self._heap, self._pos
-        heap[a], heap[b] = heap[b], heap[a]
-        pos[heap[a][2]] = a
-        pos[heap[b][2]] = b
-
+    # Both sifts carry the moving entry down a hole and write each moved
+    # entry's ``_pos`` once. They compare ``(priority, tiebreak)`` inline,
+    # making exactly the comparisons of a swap-per-level sift, so the heap
+    # array after every operation is the same as that sift's.
     def _sift_up(self, slot: int) -> None:
+        heap, pos = self._heap, self._pos
+        entry = heap[slot]
+        p, t = entry[0], entry[1]
         while slot > 0:
             parent = (slot - 1) >> 1
-            if self._less(slot, parent):
-                self._swap(slot, parent)
+            up = heap[parent]
+            if p < up[0] or (p == up[0] and t < up[1]):
+                heap[slot] = up
+                pos[up[2]] = slot
                 slot = parent
             else:
                 break
+        heap[slot] = entry
+        pos[entry[2]] = slot
 
     def _sift_down(self, slot: int) -> None:
-        n = len(self._heap)
+        heap, pos = self._heap, self._pos
+        n = len(heap)
+        entry = heap[slot]
+        p, t = entry[0], entry[1]
         while True:
-            left = 2 * slot + 1
-            right = left + 1
-            smallest = slot
-            if left < n and self._less(left, smallest):
-                smallest = left
-            if right < n and self._less(right, smallest):
-                smallest = right
-            if smallest == slot:
+            child = 2 * slot + 1
+            if child >= n:
                 break
-            self._swap(slot, smallest)
-            slot = smallest
+            best = heap[child]
+            if not (best[0] < p or (best[0] == p and best[1] < t)):
+                best, child = entry, slot
+            right = 2 * slot + 2
+            if right < n:
+                other = heap[right]
+                if other[0] < best[0] or (other[0] == best[0] and other[1] < best[1]):
+                    best, child = other, right
+            if child == slot:
+                break
+            heap[slot] = best
+            pos[best[2]] = slot
+            slot = child
+        heap[slot] = entry
+        pos[entry[2]] = slot
 
     def check_invariants(self) -> None:
         """Assert heap-order and position-map consistency (for tests)."""

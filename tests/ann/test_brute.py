@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ann.brute import BruteForceIndex
 
@@ -150,3 +152,115 @@ def test_capacity_growth():
         idx.add(i, np.full(2, float(i)))
     assert len(idx) == 10
     np.testing.assert_array_equal(idx.vector(9), [9.0, 9.0])
+
+
+# ----------------------------------------------------------------------
+# Batched range query vs an oracle kept in the test.
+#
+# Vectors sit on a small integer grid, so every squared distance is an
+# exact integer on both sides: a grid point exactly on the radius is a
+# real boundary case, and duplicated points tie at the max_neighbors cut.
+# ----------------------------------------------------------------------
+_grid_points = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)),
+    min_size=1, max_size=40,
+)
+
+
+def _oracle_rows(index, model, queries, radius, exclude, cap):
+    """Distance-sorted rows from the id -> vector ``model``, walking the
+    index's slot order (``index.ids``) so ties break the same way."""
+    order = index.ids
+    assert sorted(order) == sorted(model)
+    rows = []
+    for q, ex in zip(queries, exclude):
+        hits = []
+        for i in order:
+            d = float(np.sqrt(np.sum((q - model[i]) ** 2)))
+            if d <= radius and i != ex:
+                hits.append((d, i))
+        hits.sort(key=lambda h: h[0])  # stable: slot order on ties
+        hits = hits[:cap]
+        rows.append((np.array([i for _, i in hits], dtype=np.int64),
+                     np.array([d for d, _ in hits])))
+    return rows
+
+
+def _assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for (gi, gd), (wi, wd) in zip(got, want):
+        np.testing.assert_array_equal(gi, wi)
+        np.testing.assert_array_equal(gd, wd)
+
+
+@given(_grid_points, st.integers(0, 20), st.integers(1, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_range_rows_match_oracle_after_remove_and_reload(
+    points, r2, cap, data
+):
+    """Range rows equal the oracle's (ids, dists) bit for bit, including
+    points exactly on the radius and ties at the cap; they stay equal
+    after removes (swap-with-last moves a slot's norm and id) and after a
+    state_dict / load_state_dict round trip."""
+    radius = float(np.sqrt(r2))
+    vecs = np.array(points, dtype=np.float64)
+    index = BruteForceIndex(dim=3, capacity=2)
+    half = len(vecs) // 2
+    for i in range(half):
+        index.add(i, vecs[i])
+    index.add_batch(np.arange(half, len(vecs)), vecs[half:])
+    model = {i: vecs[i] for i in range(len(vecs))}
+    exclude = np.array(
+        data.draw(st.lists(st.integers(-1, len(vecs)), min_size=len(vecs),
+                           max_size=len(vecs)))
+    )
+
+    def check(idx):
+        got = idx.neighbors_within_batch(vecs, radius, exclude=exclude,
+                                         max_neighbors=cap)
+        _assert_rows_equal(got, _oracle_rows(idx, model, vecs, radius,
+                                             exclude, cap))
+        for q, ex, row in zip(vecs, exclude, got):
+            single = idx.neighbors_within(q, radius, exclude=int(ex),
+                                          max_neighbors=cap)
+            _assert_rows_equal([row], [single])
+
+    check(index)
+    for i in data.draw(st.lists(st.sampled_from(sorted(model)), unique=True,
+                                max_size=len(model) - 1)):
+        index.remove(i)
+        del model[i]
+    check(index)
+    restored = BruteForceIndex(dim=3, capacity=1)
+    restored.load_state_dict(index.state_dict())
+    check(restored)
+    # Overwriting a stored vector refreshes its norm.
+    moved = next(iter(model))
+    model[moved] = model[moved] + 1.0
+    restored.add_batch(np.array([moved]), model[moved][None, :])
+    check(restored)
+
+
+def test_range_rows_lazy_and_list_like(idx):
+    queries = np.stack([idx.vector(i) for i in [0, 1, 2]])
+    rows = idx.neighbors_within_batch(queries, radius=2.0,
+                                      exclude=np.array([0, 1, 2]))
+    assert len(rows) == 3
+    assert rows._rows == [None, None, None]  # nothing sorted yet
+    first = rows[0]
+    assert rows[0] is first  # built once, then cached
+    assert rows._rows[1] is None
+    assert rows[-1] is rows[2]
+    assert [r[0].tolist() for r in rows[1:]] == [rows[1][0].tolist(),
+                                                rows[2][0].tolist()]
+    assert sum(len(ids) for ids, _ in rows) == int(
+        np.minimum(rows.hits, rows.max_neighbors).sum())
+    with pytest.raises(IndexError):
+        rows[3]
+
+
+def test_range_rows_empty_index():
+    rows = BruteForceIndex(dim=2).neighbors_within_batch(np.zeros((2, 2)), 1.0)
+    assert len(rows) == 2
+    for ids, dists in rows:
+        assert ids.size == 0 and dists.size == 0

@@ -1,5 +1,7 @@
 """Distance-kernel tests, including property checks against naive loops."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.ann.distance import (
     l2_distance_matrix,
     l2_distances,
     pairwise_l2,
+    squared_radius,
 )
 
 
@@ -109,3 +112,32 @@ def test_property_pairwise_triangle_inequality(pts):
         for j in range(n):
             for k in range(n):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-5
+
+
+@given(
+    st.one_of(
+        st.floats(0.0, 1e6),
+        st.floats(min_value=0.0, allow_infinity=True, allow_nan=False),
+        st.integers(0, 10_000).map(math.sqrt),
+    ),
+    st.integers(-64, 64),
+)
+@settings(max_examples=300, deadline=None)
+def test_squared_radius_is_exact_sqrt_threshold(r, steps):
+    """For t within 64 float steps of r*r, t <= squared_radius(r) holds
+    exactly when sqrt(t) <= r."""
+    t_star = squared_radius(r)
+    t = r * r
+    direction = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        t = math.nextafter(t, direction)
+    assert (t <= t_star) == (math.sqrt(max(t, 0.0)) <= r)
+    assert math.sqrt(t_star) <= r
+
+
+def test_squared_radius_rejects_negative_and_nan():
+    assert squared_radius(-1.0) == -math.inf
+    assert squared_radius(float("nan")) == -math.inf
+    assert squared_radius(0.0) == 0.0
+    # r*r rounds below the threshold here: sqrt(1 + 2**-52) rounds to 1.
+    assert squared_radius(1.0) == math.nextafter(1.0, 2.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph_is import (
@@ -241,3 +241,102 @@ def test_score_batch_matches_per_query_range_search(backend):
         same = int(np.sum(labels[ids] == labels[ns.index])) if ids.size else 0
         assert ns.x_same == same
         assert ns.x_other == ids.size - same
+
+
+def _lam_for_radius(r, alpha):
+    """A lambda whose ``edge_radius`` is exactly ``r`` (None if the float
+    round trip cannot hit it)."""
+    lam = -math.log(alpha) / r
+    for _ in range(8):
+        got = edge_radius(lam, alpha)
+        if got == r:
+            return lam
+        lam = math.nextafter(lam, math.inf if got > r else -math.inf)
+    return None
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+             min_size=2, max_size=40),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from(["exact", "hnsw"]),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_count_path_matches_per_query_range_search(points, r2, cap, backend,
+                                                   data):
+    """``score_batch`` counts from the batched CSR rows, and sorts only the
+    rows past ``neighbormax`` plus the row it is asked for. Its counts,
+    top-degree node and neighbor lists must equal a recount from one
+    ``neighbors_within`` call per sample. Integer-grid points make every
+    distance exact, so duplicated points tie at the ``neighbormax`` cut and
+    grid points sit exactly on the radius."""
+    radius = math.sqrt(r2)
+    lam = _lam_for_radius(radius, 0.5)
+    assume(lam is not None)
+    n = len(points)
+    emb = np.array(points, dtype=np.float64)
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                         max_size=n)))
+    kwargs = {"hnsw_kwargs": {"rng": 0, "ef_search": 64}} if backend == "hnsw" else {}
+    s = GraphImportanceScorer(2, labels, lam=lam, alpha=0.5, neighbormax=cap,
+                              auto_calibrate=False, backend=backend, **kwargs)
+    assert s.radius == radius
+    s.update_embeddings(np.arange(n), emb)
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                        min_size=1, max_size=n)))
+    results = s.score_batch(batch, emb[batch])
+    degrees = []
+    for ns in results:
+        ids, dists = s.index.neighbors_within(
+            emb[ns.index], radius, exclude=ns.index, max_neighbors=cap,
+        )
+        same = int(np.sum(labels[ids] == labels[ns.index]))
+        assert (ns.x_same, ns.x_other) == (same, ids.size - same)
+        degrees.append(ids.size)
+        if backend == "exact":
+            np.testing.assert_array_equal(ns.neighbor_ids, ids)
+            np.testing.assert_array_equal(ns.neighbor_dists, dists)
+        else:
+            np.testing.assert_array_equal(np.sort(ns.neighbor_ids), np.sort(ids))
+    assert s.top_degree_node(results).index == batch[int(np.argmax(degrees))]
+
+
+def test_exact_training_run_is_bitwise_pinned():
+    """Scores and Homophily Cache contents of a seeded exact-backend run
+    are pinned bit for bit. ``neighbormax=40`` puts rows past the cap in
+    most batches, so the nearest-``neighbormax`` cut is covered too.
+
+    Recipe for the digests: run this test body with ``print(digest)``
+    instead of the assert, on the tree before the count-only range query
+    (the per-query sort over a full ``sqrt`` distance matrix); the count
+    path must reproduce it exactly.
+    """
+    import hashlib
+
+    from repro.core.policy import SpiderCachePolicy
+    from repro.data import make_dataset, train_test_split
+    from repro.nn.models import build_model
+    from repro.train.trainer import Trainer, TrainerConfig
+
+    expected = {
+        40: "8edfd1adeeba821ef4e01bfb3be798a9001ad1e230a3bfa203c365fcd40006e2",
+        500: "c764d1023bdcea4a2d9b5a7bcb3d440e5ea55743cb1f5e79cdd81d5040bf467d",
+    }
+    for neighbormax, want in expected.items():
+        ds = make_dataset("cifar10-like", rng=0, n_samples=1200)
+        train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+        model = build_model("resnet18", train.dim, train.num_classes, rng=2)
+        policy = SpiderCachePolicy(cache_fraction=0.2, neighbormax=neighbormax,
+                                   rng=3)
+        Trainer(model, train, test, policy,
+                TrainerConfig(epochs=3, batch_size=64), rng=4).run()
+        h = hashlib.sha256(
+            np.ascontiguousarray(policy.score_table.scores).tobytes())
+        hom = policy.cache.homophily
+        assert len(hom.keys()) > 0
+        for key in hom.keys():
+            h.update(repr((key, hom.neighbor_list(key))).encode())
+        digest = h.hexdigest()
+        assert digest == want, (neighbormax, digest)

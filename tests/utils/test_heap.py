@@ -172,3 +172,85 @@ def test_property_invariants_under_mixed_ops(ops):
         assert len(h) == len(model)
     for k, v in model.items():
         assert h.priority(k) == v
+
+
+class _SwapSiftHeap(IndexedMinHeap):
+    """Reference: the swap-per-level sift the hole-style sift replaced."""
+
+    __slots__ = ()
+
+    def _less(self, a, b):
+        ea, eb = self._heap[a], self._heap[b]
+        return (ea[0], ea[1]) < (eb[0], eb[1])
+
+    def _swap(self, a, b):
+        heap, pos = self._heap, self._pos
+        heap[a], heap[b] = heap[b], heap[a]
+        pos[heap[a][2]] = a
+        pos[heap[b][2]] = b
+
+    def _sift_up(self, slot):
+        while slot > 0:
+            parent = (slot - 1) >> 1
+            if not self._less(slot, parent):
+                break
+            self._swap(slot, parent)
+            slot = parent
+
+    def _sift_down(self, slot):
+        n = len(self._heap)
+        while True:
+            left, right = 2 * slot + 1, 2 * slot + 2
+            smallest = slot
+            if left < n and self._less(left, smallest):
+                smallest = left
+            if right < n and self._less(right, smallest):
+                smallest = right
+            if smallest == slot:
+                break
+            self._swap(slot, smallest)
+            slot = smallest
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["push", "pop", "remove", "update", "push_or_update"]),
+            st.integers(0, 24),
+            # Few distinct priorities, so tiebreaks decide many comparisons.
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-100, 100)),
+        ),
+        max_size=200,
+    )
+)
+@settings(max_examples=150)
+def test_hole_sift_matches_swap_sift(ops):
+    """The hole-style sift leaves the heap array, position map and
+    snapshot exactly as the swap-per-level sift does, after every op."""
+    h, ref = IndexedMinHeap(), _SwapSiftHeap()
+    for op, key, pri in ops:
+        if op == "push":
+            if key in ref:
+                continue
+            h.push(key, pri)
+            ref.push(key, pri)
+        elif op == "pop":
+            if not len(ref):
+                continue
+            assert h.pop() == ref.pop()
+        elif op == "remove":
+            if key not in ref:
+                continue
+            assert h.remove(key) == ref.remove(key)
+        elif op == "update":
+            if key not in ref:
+                continue
+            h.update(key, pri)
+            ref.update(key, pri)
+        else:
+            h.push_or_update(key, pri)
+            ref.push_or_update(key, pri)
+        assert h._heap == ref._heap
+        assert h._pos == ref._pos
+        assert h.state_dict() == ref.state_dict()
+    h.check_invariants()
